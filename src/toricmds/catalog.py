@@ -13,7 +13,7 @@ expected rank, smoothness, and Fano flags so audits can cross-check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Callable
@@ -81,10 +81,6 @@ def del_pezzo(k: int) -> Fan:
     for c in centers[:k]:
         f = fanmod.star_subdivision(f, c)
     return f
-
-
-def blow_up(fan: Fan, cone: tuple[int, ...]) -> Fan:
-    return fanmod.star_subdivision(fan, cone)
 
 
 def _blpt_p1x4() -> Fan:

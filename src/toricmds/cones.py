@@ -55,16 +55,8 @@ def _dd_pointed(dim: int, ineqs: list[Vec]) -> list[Vec]:
     if len(seed_rows) < dim:
         raise InternalError("pointed DD called with deficient rank")
 
-    rays: list[Vec] = []
-    active: list[set[int]] = []
-    for j in range(dim):
-        ej = [1 if k == j else 0 for k in range(dim)]
-        sol = linalg.solve(seed_rows, ej)
-        if sol is None:
-            raise InternalError("seed system unexpectedly singular")
-        r = linalg.primitive_fraction(sol)
-        rays.append(r)
-        active.append({seed_idx[i] for i in range(dim) if i != j})
+    rays = linalg.inverse_rays(seed_rows)
+    active = [{seed_idx[i] for i in range(dim) if i != j} for j in range(dim)]
 
     processed = list(seed_idx)
     for t, a in enumerate(ineqs):
@@ -263,10 +255,6 @@ class PolyCone:
         """Facet normals excluding the opposite pairs that encode the span."""
         s = set(self.facet_normals)
         return [n for n in self.facet_normals if vneg(n) not in s]
-
-    def span_rows(self) -> list[Vec]:
-        """Rows spanning the linear span of the cone (the generators do)."""
-        return list(self.generators)
 
     # -- faces -------------------------------------------------------------
 

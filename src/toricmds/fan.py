@@ -56,12 +56,14 @@ class Fan:
 def _point_in_simplicial_cone(
     rays: list[Vec], point: Sequence[int], strict: bool
 ) -> bool:
-    sol = linalg.solve([[r[k] for r in rays] for k in range(len(point))], point)
-    if sol is None:
+    signs = linalg.solution_signs(
+        [[r[k] for r in rays] for k in range(len(point))], point
+    )
+    if signs is None:
         return False
     if strict:
-        return all(x > 0 for x in sol)
-    return all(x >= 0 for x in sol)
+        return all(s > 0 for s in signs)
+    return all(s >= 0 for s in signs)
 
 
 def build_fan(
@@ -462,21 +464,6 @@ def is_fano(fan: Fan) -> bool:
 
 def extremal_rays(fan: Fan) -> list[ExtremalRay]:
     return data(fan).extremal_rays
-
-
-def classify_extremal_wall(fan: Fan, wall: Wall) -> ExtremalRay:
-    """The extremal-ray descriptor of a wall whose class is extremal.
-
-    Raises ValidationError if the wall's curve class does not span an
-    extremal ray of the curve cone.
-    """
-    for ray in data(fan).extremal_rays:
-        if ray.cls == wall.curve_class:
-            return ray
-    raise ValidationError(
-        f"wall {wall.shared} has class {wall.curve_class}, "
-        "which does not span an extremal ray"
-    )
 
 
 def star_subdivision(

@@ -10,11 +10,9 @@ of Picard-number bound predicates on any smooth Fano fourfold instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Sequence
 
-from . import catalog as catalogmod
 from . import fan as fanmod
 from . import linalg
 from . import mdscones

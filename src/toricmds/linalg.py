@@ -1,26 +1,28 @@
 """Exact linear algebra over the rationals and over the integers.
 
-Everything here works with plain Python ints and fractions.Fraction; there is
-no floating point anywhere. Vectors are tuples, matrices are sequences of row
-tuples. Integer routines (Hermite reduction, saturated kernels) are what the
-lattice computations in the toric layer rely on, so they must return canonical
-output for a given input: same input, byte-identical result.
+There is no floating point anywhere, and elimination is integer-only: rank,
+solve and kernel run one fraction-free row reduction (rows are cleared of
+denominators, combined as p*row_i - f*row_r and divided by their gcd), so
+fractions.Fraction appears only in the values solve and kernel return.
+Vectors are tuples, matrices are sequences of row tuples. Integer routines
+(Hermite reduction, saturated kernels) are what the lattice computations in
+the toric layer rely on, so they must return canonical output for a given
+input: same input, byte-identical result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 
 
 def vec_gcd(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> Vec:
@@ -29,14 +31,20 @@ def primitive(v: Sequence[int]) -> Vec:
     The zero vector is returned unchanged. Direction is preserved; callers
     that need an orientation-free normal fix the sign themselves.
     """
-    g = vec_gcd(v)
-    if g == 0:
+    g = gcd(*v)
+    if g <= 1:
         return tuple(v)
-    return tuple(x // g for x in v)
+    return tuple([x // g for x in v])
+
+
+def _all_int(v: Iterable) -> bool:
+    return set(map(type, v)) <= {int}
 
 
 def primitive_fraction(v: Sequence[Fraction | int]) -> Vec:
     """Scale a rational vector to the primitive integer vector on its ray."""
+    if _all_int(v):
+        return primitive(v)
     fr = [Fraction(x) for x in v]
     den = 1
     for x in fr:
@@ -45,7 +53,9 @@ def primitive_fraction(v: Sequence[Fraction | int]) -> Vec:
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
+    return sum(map(mul, a, b))
 
 
 def vadd(a: Sequence, b: Sequence) -> tuple:
@@ -65,37 +75,67 @@ def vneg(a: Sequence) -> tuple:
 
 
 def is_zero(a: Sequence) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
-def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q. Returns (rref rows, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def eliminate(row: Sequence[int], prow: Sequence[int], c: int) -> list[int]:
+    """p*row - f*prow divided by its gcd, where p = prow[c] and f = row[c].
+
+    The result is zero in column c. With p > 0 it is a positive multiple of
+    the rational step row - (f/p)*prow, so it has the same signs.
+    """
+    p, f = prow[c], row[c]
+    out = [p * x - f * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _echelon(
+    rows: Sequence[Sequence], reduced: bool = True
+) -> tuple[list[Sequence[int]], list[int]]:
+    """Fraction-free row echelon form. Returns (integer rows, pivot columns).
+
+    Each row is cleared of denominators, each pivot row is scaled to a
+    positive pivot, and each elimination step is eliminate(row_i, row_r, c):
+    p*row_i - f*row_r divided by its gcd. Every row is therefore a positive
+    multiple of the row the rational Gauss-Jordan reduction holds at the same
+    step: pivot choice and rank are the same, and with reduced=True row r of
+    the result divided by its pivot entry is row r of the reduced row echelon
+    form. reduced=False clears only the rows below each pivot, which is
+    enough for the rank.
+    """
+    if _all_int(chain.from_iterable(rows)):
+        mat = list(rows)
+    else:
+        mat = [primitive_fraction(row) for row in rows]
     if not mat:
         return [], []
-    ncols = len(mat[0])
+    nrows, ncols = len(mat), len(mat[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if mat[piv][c] != 0:
+                break
+        else:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
+        prow = mat[piv]
+        mat[piv] = mat[r]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        mat[r] = prow
+        for i in range(0 if reduced else r + 1, nrows):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = eliminate(mat[i], prow, c)
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == nrows:
             break
     return mat[:r], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_echelon(rows)[1])
+    return len(_echelon(rows, reduced=False)[1])
 
 
 def kernel(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
@@ -110,26 +150,75 @@ def kernel(rows: Sequence[Sequence], ncols: int | None = None) -> list[tuple[Fra
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(red, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """One rational solution of A x = b, or None if the system is inconsistent."""
-    if not rows:
-        return tuple() if all(Fraction(x) == 0 for x in rhs) else None
+def _solved(
+    rows: Sequence[Sequence], rhs: Sequence
+) -> tuple[list[Sequence[int]], list[int]] | None:
+    """Reduced echelon form of [A | b], or None if A x = b is inconsistent."""
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
-    red, pivots = _echelon(aug)
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
+    red, pivots = _echelon([list(row) + [b] for row, b in zip(rows, rhs, strict=True)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    return red, pivots
+
+
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
+    """One rational solution of A x = b, or None if the system is inconsistent.
+
+    Free variables are set to 0.
+    """
+    if not rows:
+        return tuple() if all(x == 0 for x in rhs) else None
+    solved = _solved(rows, rhs)
+    if solved is None:
+        return None
+    ncols = len(rows[0])
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    for row, pc in zip(*solved):
+        x[pc] = Fraction(row[ncols], row[pc])
     return tuple(x)
+
+
+def solution_signs(rows: Sequence[Sequence], rhs: Sequence) -> list[int] | None:
+    """Signs (-1, 0, 1) of the entries of solve(rows, rhs), or None.
+
+    Every pivot entry of the integer echelon form is positive, so the sign of
+    a pivot variable is the sign of its row's last entry; no Fraction is built.
+    """
+    if not rows:
+        return [] if all(x == 0 for x in rhs) else None
+    solved = _solved(rows, rhs)
+    if solved is None:
+        return None
+    ncols = len(rows[0])
+    signs = [0] * ncols
+    for row, pc in zip(*solved):
+        signs[pc] = (row[ncols] > 0) - (row[ncols] < 0)
+    return signs
+
+
+def inverse_rays(rows: Sequence[Sequence[int]]) -> list[Vec]:
+    """Primitive integer vectors along the columns of the inverse of A.
+
+    A must be square and nonsingular. Column j is the ray of the simplicial
+    cone {x : A x >= 0} on which every row but row j vanishes.
+    """
+    n = len(rows)
+    red, pivots = _echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    scale = lcm(*(red[i][i] for i in range(n)))
+    return [
+        primitive([red[i][n + j] * (scale // red[i][i]) for i in range(n)])
+        for j in range(n)
+    ]
 
 
 def det(rows: Sequence[Sequence[int]]) -> int:
@@ -240,57 +329,3 @@ def integer_kernel(rows: Sequence[Sequence[int]], ncols: int | None = None) -> l
     h, t = hermite_with_transform(transpose)
     basis = [t[i] for i in range(len(h)) if is_zero(h[i])]
     return hermite(basis) if basis else []
-
-
-class RationalMatrix:
-    """Immutable exact-rational matrix with the kernel/image/rank trio."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        self.rows: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in rows
-        )
-        self.nrows = len(self.rows)
-        if self.rows:
-            widths = {len(r) for r in self.rows}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
-                raise ValueError("ncols does not match rows")
-        else:
-            if ncols is None:
-                raise ValueError("ncols required for an empty matrix")
-            self.ncols = ncols
-
-    def rank(self) -> int:
-        return rank(self.rows)
-
-    def kernel(self) -> list[tuple[Fraction, ...]]:
-        return kernel(self.rows, self.ncols)
-
-    def image(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the row space (rref rows, pivots normalized to 1)."""
-        red, _ = _echelon(self.rows)
-        return [tuple(r) for r in red]
-
-    def integer_kernel(self) -> list[Vec]:
-        # Clearing denominators row by row does not change the kernel.
-        cleared = []
-        for row in self.rows:
-            den = 1
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-            cleared.append([int(x * den) for x in row])
-        return integer_kernel(cleared, self.ncols)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows \
-            and self.ncols == other.ncols
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.ncols))
-
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.nrows}x{self.ncols})"

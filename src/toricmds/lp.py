@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import linalg
+
 
 def nonneg_solve(
     columns: Sequence[Sequence], target: Sequence
@@ -19,70 +21,64 @@ def nonneg_solve(
     """Solve sum_j lam_j * columns[j] = target with lam >= 0.
 
     Returns one solution as a list of Fractions, or None if infeasible.
+
+    Phase I over the tableau [columns | target] (rows with a negative target
+    are negated) with one artificial basic variable per row, cost 1 each.
+    The tableau is kept fraction free: every row, and the reduced-cost row,
+    is stored as a positive integer multiple of its rational value, so each
+    sign and ratio test reads the same as over Q, and the pivots (Bland's
+    rule: lowest entering column, lowest basic index on ratio ties) are the
+    ones the rational tableau takes. Artificials never re-enter, so their
+    columns are not stored.
     """
     d = len(target)
     g = len(columns)
     for col in columns:
         if len(col) != d:
             raise ValueError("column length mismatch")
-    # Tableau rows: [lam columns | artificial identity | rhs], rhs >= 0.
-    rows: list[list[Fraction]] = []
+    rows: list[Sequence] = []
     for i in range(d):
-        row = [Fraction(columns[j][i]) for j in range(g)]
-        rhs = Fraction(target[i])
-        if rhs < 0:
-            row = [-x for x in row]
-            rhs = -rhs
-        art = [Fraction(1) if k == i else Fraction(0) for k in range(d)]
-        rows.append(row + art + [rhs])
+        row = [columns[j][i] for j in range(g)] + [target[i]]
+        rows.append([-x for x in row] if target[i] < 0 else row)
+    # reduced costs: 0 for lam columns minus the sum of the artificial rows
+    cost = linalg.primitive_fraction(
+        [-sum(row[j] for row in rows) for j in range(g + 1)]
+    )
+    rows = [linalg.primitive_fraction(row) for row in rows]
     basis = [g + i for i in range(d)]
 
-    def reduced_cost(j: int) -> Fraction:
-        # cost 0 for lam columns, 1 for artificials
-        cj = Fraction(0) if j < g else Fraction(1)
-        return cj - sum(
-            (Fraction(1) if basis[i] >= g else Fraction(0)) * rows[i][j]
-            for i in range(d)
-        )
-
     while True:
-        enter = None
-        for j in range(g):  # artificials never re-enter
-            if j in basis:
-                continue
-            if reduced_cost(j) < 0:
-                enter = j
-                break
+        enter = next((j for j in range(g) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best: Fraction | None = None
         for i in range(d):
             a = rows[i][enter]
             if a > 0:
-                ratio = rows[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]  # type: ignore[index]
-                ):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # compare rows[i][-1] / a with the best ratio so far
+                lhs = rows[i][-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-I objective unbounded; impossible")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
+        prow = rows[leave]
         for i in range(d):
             if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+                rows[i] = linalg.eliminate(rows[i], prow, enter)
+        cost = linalg.eliminate(cost, prow, enter)
         basis[leave] = enter
 
-    objective = sum(rows[i][-1] for i in range(d) if basis[i] >= g)
-    if objective != 0:
+    # the cost row's last entry is minus the phase-I objective
+    if cost[-1] != 0:
         return None
     lam = [Fraction(0)] * g
     for i in range(d):
         if basis[i] < g:
-            lam[basis[i]] = rows[i][-1]
+            lam[basis[i]] = Fraction(rows[i][-1], rows[i][basis[i]])
     return lam
 
 
@@ -107,15 +103,15 @@ def strictly_positive_point(
     if not functionals:
         return tuple(Fraction(0) for _ in range(dim))
     # x = u - v with u, v >= 0; slack s_i >= 0; f.u - f.v - s_i = 1.
-    cols: list[list[Fraction]] = []
+    cols: list[list] = []
     m = len(functionals)
     for k in range(dim):
-        cols.append([Fraction(f[k]) for f in functionals])
+        cols.append([f[k] for f in functionals])
     for k in range(dim):
-        cols.append([Fraction(-f[k]) for f in functionals])
+        cols.append([-f[k] for f in functionals])
     for i in range(m):
-        cols.append([Fraction(-1) if j == i else Fraction(0) for j in range(m)])
-    lam = nonneg_solve(cols, [Fraction(1)] * m)
+        cols.append([-1 if j == i else 0 for j in range(m)])
+    lam = nonneg_solve(cols, [1] * m)
     if lam is None:
         return None
     return tuple(lam[k] - lam[dim + k] for k in range(dim))
