@@ -273,8 +273,7 @@ def cmd_classify(args) -> int:
 
 
 def _verify_one(name: str, fan: fanmod.Fan):
-    dd = fanmod.data(fan)
-    if fan.dim != 4 or not dd.is_smooth or not dd.is_projective or not dd.is_fano:
+    if not fanomod.is_smooth_fano_fourfold(fan):
         return None
     return fanomod.audit_bounds(fan)
 

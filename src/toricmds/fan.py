@@ -53,17 +53,24 @@ class Fan:
         return f"Fan(dim {self.dim}, {len(self.rays)} rays, {len(self.max_cones)} cones)"
 
 
-def _point_in_simplicial_cone(
-    rays: list[Vec], point: Sequence[int], strict: bool
-) -> bool:
+def _cone_membership(rays: list[Vec], point: Sequence[int]) -> tuple[bool, bool]:
+    """(point lies in the simplicial cone, point lies in its interior), read
+    off one sign vector of the point's coordinates in the rays."""
     signs = linalg.solution_signs(
         [[r[k] for r in rays] for k in range(len(point))], point
     )
-    if signs is None:
-        return False
-    if strict:
-        return all(s > 0 for s in signs)
-    return all(s >= 0 for s in signs)
+    inside = signs is not None and -1 not in signs
+    return inside, inside and 0 not in signs
+
+
+def _wall_incidence(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Every codimension-one face of a maximal cone, with the maximal cones
+    containing it, in the order the cones list them."""
+    incidence: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for c in fan.max_cones:
+        for facet in combinations(c, fan.dim - 1):
+            incidence.setdefault(facet, []).append(c)
+    return incidence
 
 
 def build_fan(
@@ -78,6 +85,15 @@ def build_fan(
     of the structural checks; "fast" keeps the structural checks (simplicial,
     primitive distinct rays all used, every wall shared by exactly two cones,
     deterministic coverage samples); "none" trusts the caller.
+
+    Only code that has proved the output valid may pass "none": surgery that
+    rewrites the star of a circuit in a fan that is already valid, after
+    checking the certificate of the rewrite (mmp.flip and
+    mmp.contract_divisorial check the circuit relation and the shape of the
+    star; star_subdivision checks that the new ray is a new ray strictly
+    inside the subdivided cone). Everything else, user-supplied fans,
+    products and the fans built by target_model or coordinate_factors,
+    keeps "fast" or "full", because no local argument covers them.
     """
     if check not in ("none", "fast", "full"):
         raise ValidationError(f"unknown check level {check!r}")
@@ -110,11 +126,7 @@ def build_fan(
         raise ValidationError("some rays appear in no maximal cone")
 
     # every wall must be shared by exactly two maximal cones
-    incidence: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for c in fan.max_cones:
-        for facet in combinations(c, dim - 1):
-            incidence.setdefault(facet, []).append(c)
-    for facet, owners in incidence.items():
+    for facet, owners in _wall_incidence(fan).items():
         if len(owners) != 2:
             raise ValidationError(
                 f"wall {facet} belongs to {len(owners)} maximal cones, expected 2"
@@ -124,16 +136,15 @@ def build_fan(
     rng = random.Random(0xFA9)
     for _ in range(4):
         p = tuple(rng.randint(-997, 997) for _ in range(dim))
-        holders = [
-            c for c in fan.max_cones
-            if _point_in_simplicial_cone(fan.cone_rays(c), p, strict=False)
-        ]
+        holders, strict = [], []
+        for c in fan.max_cones:
+            inside, interior = _cone_membership(fan.cone_rays(c), p)
+            if inside:
+                holders.append(c)
+            if interior:
+                strict.append(c)
         if not holders:
             raise ValidationError(f"fan is not complete: {p} is uncovered")
-        strict = [
-            c for c in holders
-            if _point_in_simplicial_cone(fan.cone_rays(c), p, strict=True)
-        ]
         if len(strict) > 1:
             raise ValidationError(f"cones {strict[0]} and {strict[1]} overlap")
 
@@ -222,10 +233,7 @@ class FanData:
     def walls(self) -> list[Wall]:
         fan = self.fan
         n = fan.dim
-        incidence: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for c in fan.max_cones:
-            for facet in combinations(c, n - 1):
-                incidence.setdefault(facet, []).append(c)
+        incidence = _wall_incidence(fan)
         out = []
         for facet in sorted(incidence):
             owners = incidence[facet]
@@ -473,6 +481,15 @@ def star_subdivision(
 
     The default new ray is the primitive sum of the cone's rays (the smooth
     blow-up when the subdivided cone is unimodular).
+
+    The output needs no global check. The new ray v is primitive, is not a
+    ray of the fan, and is v = sum a_i v_i with every a_i > 0 over the rays
+    of tau. Each maximal cone c containing tau is then the union of the
+    simplicial cones c - {i} + {v}, i in tau (v has a positive coordinate on
+    every ray it replaces), which meet in common faces. A face of c that
+    contains tau is subdivided the same way from every cone holding it, the
+    other faces of c are kept, and so are the cones outside the star of tau:
+    a valid fan stays valid.
     """
     tau = tuple(sorted(int(i) for i in cone))
     if not tau:
@@ -486,6 +503,8 @@ def star_subdivision(
         new = primitive(acc)
     else:
         new = primitive(tuple(int(x) for x in new_ray))
+        if len(new) != fan.dim:
+            raise ValidationError(f"subdivision ray {new} has length {len(new)}")
     if new in fan.rays:
         raise ValidationError(f"subdivision ray {new} already in the fan")
     sol = linalg.solve(
@@ -506,7 +525,7 @@ def star_subdivision(
         else:
             cones_out.append(c)
     return build_fan(
-        fan.dim, list(fan.rays) + [new], cones_out, check="fast"
+        fan.dim, list(fan.rays) + [new], cones_out, check="none"
     )
 
 

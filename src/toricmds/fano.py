@@ -372,6 +372,13 @@ def _direct_divisorial_ray(fan: Fan, ray: int) -> ExtremalRay | None:
     return None
 
 
+def is_smooth_fano_fourfold(fan: Fan) -> bool:
+    """The hypothesis of the classification and of the bound audit: a smooth
+    projective Fano 4-fold."""
+    dd = fanmod.data(fan)
+    return fan.dim == 4 and dd.is_smooth and dd.is_fano
+
+
 def classify_nonmovable_divisor(
     fan: Fan, ray: int, audit_mode: bool = False
 ) -> ClassificationResult:
@@ -382,9 +389,9 @@ def classify_nonmovable_divisor(
     least 6, and the structural consequences of the classification theorem
     are enforced as falsification checks.
     """
-    dd = fanmod.data(fan)
-    if fan.dim != 4 or not dd.is_smooth or not dd.is_projective or not dd.is_fano:
+    if not is_smooth_fano_fourfold(fan):
         raise ValidationError("classification needs a smooth projective Fano 4-fold")
+    dd = fanmod.data(fan)
     if fan.rho < 6 and not audit_mode:
         raise ValidationError(
             f"rho = {fan.rho} < 6 is outside the classification hypothesis; "
@@ -647,8 +654,7 @@ def _smooth_surface_blowup_target(fan: Fan) -> Fan | None:
         if plus != (1, 1) or r.pairing[r.jminus[0]] != -1:
             continue
         target, _ = mmp.contract_divisorial(fan, r)
-        tdd = fanmod.data(target)
-        if tdd.is_smooth and tdd.is_projective and tdd.is_fano:
+        if is_smooth_fano_fourfold(target):
             return target
     return None
 
@@ -660,9 +666,9 @@ def audit_bounds(fan: Fan, cap: int = mdscones.MAX_CHAMBERS) -> BoundsReport:
     conclusion under a true hypothesis is reported as an alarm by the
     caller-facing report (it should never happen).
     """
-    dd = fanmod.data(fan)
-    if fan.dim != 4 or not dd.is_smooth or not dd.is_projective or not dd.is_fano:
+    if not is_smooth_fano_fourfold(fan):
         raise ValidationError("bound audit needs a smooth projective Fano 4-fold")
+    dd = fanmod.data(fan)
     rho = fan.rho
     c_value, c_witness = c_invariant(fan)
     atlas = mdscones.chamber_atlas(fan, cap=cap)

@@ -264,7 +264,8 @@ def test_point_in_simplicial_cone_matches_fraction_solve(case, strict):
         expected = all(x > 0 for x in sol)
     else:
         expected = all(x >= 0 for x in sol)
-    assert F._point_in_simplicial_cone(rays, point, strict=strict) == expected
+    inside, interior = F._cone_membership(rays, point)
+    assert (interior if strict else inside) == expected
 
 
 # -- fraction-free simplex tableau -----------------------------------------------
