@@ -255,6 +255,8 @@ def parse_fan_text(text: str) -> tuple[str, Fan]:
                 dim = int(parts[3])
             except ValueError:
                 raise ValidationError(f"line {ln}: dimension is not an integer")
+            if dim < 1:
+                raise ValidationError(f"line {ln}: dimension {dim} is not positive")
         elif parts[0] == "ray":
             if dim is None:
                 raise ValidationError(f"line {ln}: ray before fan header")

@@ -41,18 +41,30 @@ def load_instance(ref: str) -> tuple[str, fanmod.Fan]:
         name = ref[len("catalog:"):]
         return name, catalogmod.get(name)
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return catalogmod.parse_fan_text(fh.read())
+        return _read_instance_file(ref)
     cat_dir = os.environ.get("TORICMDS_CATALOG_DIR")
     if cat_dir:
         candidate = os.path.join(cat_dir, ref + ".fan")
         if os.path.exists(candidate):
-            with open(candidate, "r", encoding="utf-8") as fh:
-                return catalogmod.parse_fan_text(fh.read())
+            return _read_instance_file(candidate)
     raise ValidationError(
         f"cannot resolve instance {ref!r}: not a catalog:NAME, not a file, "
         "and not found under TORICMDS_CATALOG_DIR"
     )
+
+
+def _read_instance_file(path: str) -> tuple[str, fanmod.Fan]:
+    """Parse a fan file; an unreadable or non-UTF-8 file is bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"instance file {path!r} is not UTF-8 text") from exc
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read instance file {path!r}: {exc.strerror or exc}"
+        ) from exc
+    return catalogmod.parse_fan_text(text)
 
 
 def _parse_divisor(text: str, n_rays: int) -> tuple:

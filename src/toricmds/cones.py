@@ -8,6 +8,15 @@ dimensional cone encodes its span constraints as opposite pairs of normals,
 which keeps the invariant that the dual cone is generated by the facet
 normals and vice versa.
 
+The double description is exact without rank tests. Its intermediate cones
+are pointed and carry exactly their extreme rays, each with its exact set of
+zero rows, so two rays are adjacent iff no third ray vanishes on every row
+both vanish on (Fukuda and Prodon, 1996), and a ray made from two adjacent
+rays vanishes on exactly the rows both vanish on. A pointed cone needs one
+conversion: its extreme rays are the inputs no other input dominates in
+zero set over the dual's rays, and the full dimensional case of the
+inequality description is the same argument on the dual.
+
 All vectors are primitive integer tuples. Nothing here knows about fans;
 this is the geometry substrate the toric layers build on.
 """
@@ -35,12 +44,46 @@ def _clean(vectors: Iterable[Sequence[int]]) -> list[Vec]:
     return out
 
 
+def _identity(dim: int) -> list[Vec]:
+    return [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+
+
+def _adjacent(active: list[set[int]], i: int, j: int, dim: int) -> set[int] | None:
+    """Common zero set of rays i and j when they are adjacent, else None.
+
+    This is the combinatorial test of Fukuda and Prodon ("Double description
+    method revisited", 1996). active[k] is the exact zero set of ray k over
+    the inequalities processed so far, and the rays are exactly the extreme
+    rays of that pointed cone. The smallest face holding rays i and j is cut
+    out by their common zero set, and its extreme rays are the rays whose
+    zero set contains it. The two rays are adjacent when that face is two
+    dimensional, that is when no third ray lies on it. A two dimensional face
+    of a cone in Q^dim is cut out by at least dim - 2 inequalities, so a
+    smaller common set is rejected before the rays are scanned.
+    """
+    common = active[i] & active[j]
+    if len(common) < dim - 2:
+        return None
+    for k, zeros in enumerate(active):
+        if k != i and k != j and common <= zeros:
+            return None
+    return common
+
+
 def _dd_pointed(dim: int, ineqs: list[Vec]) -> list[Vec]:
     """Extreme rays of {x in Q^dim : a.x >= 0 for all a}, pointed case.
 
     Requires rank(ineqs) == dim. Classic incremental double description:
     seed with a simplicial cone from dim independent rows, then cut by the
     remaining rows, combining adjacent positive/negative ray pairs.
+
+    Every intermediate cone is pointed, because it lies inside the seed
+    cone, and its ray list is exactly its extreme rays, so adjacency is
+    decided from zero sets alone (_adjacent). The zero sets stay exact
+    without evaluating a new ray against the processed rows: the new ray is
+    a positive combination of two rays on which every processed row is
+    nonnegative, so a row vanishes on it iff it vanishes on both, and the
+    new ray's zero set is their common set plus the cutting row.
     """
     if dim == 0:
         return []
@@ -58,11 +101,9 @@ def _dd_pointed(dim: int, ineqs: list[Vec]) -> list[Vec]:
     rays = linalg.inverse_rays(seed_rows)
     active = [{seed_idx[i] for i in range(dim) if i != j} for j in range(dim)]
 
-    processed = list(seed_idx)
     for t, a in enumerate(ineqs):
         if t in seed_idx:
             continue
-        processed.append(t)
         vals = [dot(a, r) for r in rays]
         if all(v >= 0 for v in vals):
             for i, v in enumerate(vals):
@@ -74,30 +115,24 @@ def _dd_pointed(dim: int, ineqs: list[Vec]) -> list[Vec]:
         neg = [i for i, v in enumerate(vals) if v < 0]
         new_rays: list[Vec] = []
         new_active: list[set[int]] = []
-        seen_new: set[Vec] = set()
         for ip in pos:
             for im in neg:
-                common = active[ip] & active[im]
-                if dim > 2:
-                    rows = [ineqs[k] for k in common]
-                    if linalg.rank(rows) != dim - 2:
-                        continue
-                # positive combination lying on the new hyperplane
-                r = primitive(tuple(
+                common = _adjacent(active, ip, im, dim)
+                if common is None:
+                    continue
+                # positive combination lying on the new hyperplane; distinct
+                # adjacent pairs span distinct 2-faces, so no ray repeats
+                new_rays.append(primitive(tuple(
                     vals[ip] * x - vals[im] * y
                     for x, y in zip(rays[im], rays[ip])
-                ))
-                if r in seen_new:
-                    continue
-                seen_new.add(r)
-                new_rays.append(r)
-                # exact zero set keeps later adjacency tests honest
-                new_active.append({k for k in processed if dot(ineqs[k], r) == 0})
+                )))
+                common.add(t)
+                new_active.append(common)
         rays = [rays[i] for i in pos + zer] + new_rays
         active = [active[i] for i in pos] + [
             active[i] | {t} for i in zer
         ] + new_active
-    return sorted(set(rays))
+    return sorted(rays)
 
 
 def _vrep(dim: int, ineqs_in: Iterable[Sequence[int]]) -> tuple[list[Vec], list[Vec]]:
@@ -108,15 +143,12 @@ def _vrep(dim: int, ineqs_in: Iterable[Sequence[int]]) -> tuple[list[Vec], list[
     """
     ineqs = _clean(ineqs_in)
     if not ineqs:
-        ident = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-        return ident, []
+        return _identity(dim), []
     lin = linalg.integer_kernel(ineqs, dim)
     k = dim - len(lin)
     if k == 0:
         return lin, []
-    comp = linalg.integer_kernel(lin, dim) if lin else [
-        tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-    ]
+    comp = linalg.integer_kernel(lin, dim) if lin else _identity(dim)
     if len(comp) != k:
         raise InternalError("complement basis has wrong size")
     proj = []
@@ -140,6 +172,26 @@ def _with_pairs(lin: list[Vec], rays: list[Vec]) -> tuple[Vec, ...]:
         out.append(v)
         out.append(vneg(v))
     return tuple(sorted(set(out)))
+
+
+def _extreme_inputs(inputs: list[Vec], dual_rays: list[Vec]) -> tuple[Vec, ...]:
+    """Extreme rays of the pointed cone spanned by `inputs`, sorted.
+
+    inputs are distinct and primitive (as _clean leaves them); dual_rays are
+    the extreme rays of the dual cone, whose lineality every input vanishes
+    on. The smallest face holding an input g is cut out by the dual rays
+    vanishing on g, and it is spanned by the inputs it holds. g is extreme
+    iff that face is the ray of g, that is iff no other input vanishes on
+    every dual ray that g vanishes on.
+    """
+    zeros = [
+        frozenset(i for i, r in enumerate(dual_rays) if dot(g, r) == 0)
+        for g in inputs
+    ]
+    return tuple(sorted(
+        g for k, g in enumerate(inputs)
+        if not any(j != k and zeros[k] <= z for j, z in enumerate(zeros))
+    ))
 
 
 @dataclass(frozen=True)
@@ -167,10 +219,14 @@ class PolyCone:
                 raise ValidationError(f"generator {v} has wrong length")
         lin_n, rays_n = _vrep(ambient_dim, g0)
         normals = _with_pairs(lin_n, rays_n)
+        # lin_n is a basis of the orthogonal complement of the span
+        d = ambient_dim - len(lin_n)
+        if linalg.rank(normals) == ambient_dim:
+            # full dimensional dual: the cone is pointed, and its extreme
+            # rays are among the inputs
+            return cls(ambient_dim, _extreme_inputs(g0, rays_n), normals, d, 0)
         lin_g, rays_g = _vrep(ambient_dim, normals)
-        gens_c = _with_pairs(lin_g, rays_g)
-        d = linalg.rank(gens_c) if gens_c else 0
-        return cls(ambient_dim, gens_c, normals, d, len(lin_g))
+        return cls(ambient_dim, _with_pairs(lin_g, rays_g), normals, d, len(lin_g))
 
     @classmethod
     def from_inequalities(
@@ -188,12 +244,16 @@ class PolyCone:
                 raise ValidationError(f"normal {tuple(v)} has wrong length")
         lin_g, rays_g = _vrep(ambient_dim, ineqs)
         gens_c = _with_pairs(lin_g, rays_g)
-        lin_n, rays_n = _vrep(ambient_dim, gens_c) if gens_c else (
-            [tuple(1 if i == j else 0 for j in range(ambient_dim)) for i in range(ambient_dim)],
-            [],
-        )
-        normals_c = _with_pairs(lin_n, rays_n)
         d = linalg.rank(gens_c) if gens_c else 0
+        if d == ambient_dim:
+            # full dimensional: the dual is pointed, and its extreme rays
+            # (the facet normals) are among the inequalities
+            normals_c = _extreme_inputs(_clean(ineqs), rays_g)
+        else:
+            lin_n, rays_n = _vrep(ambient_dim, gens_c) if gens_c else (
+                _identity(ambient_dim), []
+            )
+            normals_c = _with_pairs(lin_n, rays_n)
         return cls(ambient_dim, gens_c, normals_c, d, len(lin_g))
 
     @classmethod
@@ -280,14 +340,18 @@ class PolyCone:
         """All faces of the given dimension, deterministically ordered."""
         return [f for f in self.all_faces() if f.cone.dim == k]
 
-    def all_faces(self) -> list["Face"]:
-        """Every face, the cone itself and its minimal face included."""
+    def face_generator_sets(self) -> list[tuple[Vec, ...]]:
+        """The generators lying on each face, one sorted tuple per face.
+
+        Faces are found by cutting the generator set with the facet normals
+        until nothing new appears, and are ordered by generator index. On a
+        pointed cone each tuple is the face's own canonical generators.
+        """
         facets = self.proper_facet_normals()
         gens = self.generators
         top = frozenset(range(len(gens)))
         seen = {top}
         queue = [top]
-        subsets: list[frozenset[int]] = [top]
         while queue:
             s = queue.pop()
             for n in facets:
@@ -295,16 +359,23 @@ class PolyCone:
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)
-                    subsets.append(t)
-        faces = []
-        for s in sorted(subsets, key=lambda s: tuple(sorted(s))):
-            sub = [gens[i] for i in sorted(s)]
-            cone = PolyCone.from_generators(self.ambient_dim, sub)
-            act = tuple(
-                n for n in facets if all(dot(n, g) == 0 for g in sub)
+        return [
+            tuple(gens[i] for i in s)
+            for s in sorted(tuple(sorted(s)) for s in seen)
+        ]
+
+    def all_faces(self) -> list["Face"]:
+        """Every face, the cone itself and its minimal face included."""
+        facets = self.proper_facet_normals()
+        return [
+            Face(
+                cone=PolyCone.from_generators(self.ambient_dim, sub),
+                active_normals=tuple(
+                    n for n in facets if all(dot(n, g) == 0 for g in sub)
+                ),
             )
-            faces.append(Face(cone=cone, active_normals=act))
-        return faces
+            for sub in self.face_generator_sets()
+        ]
 
     def is_face(self, sub: "PolyCone") -> bool:
         if not self.contains_cone(sub):

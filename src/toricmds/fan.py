@@ -339,14 +339,18 @@ class FanData:
 
     @cached_property
     def mov_cone(self) -> PolyCone:
-        cone = None
+        """Intersection over the rays j of the cone on the other ray classes.
+
+        One conversion over the union of the parts' facet normals, which is
+        the same cone as intersecting the parts one by one.
+        """
+        if not self.fan.n_rays:
+            raise InternalError("fan has no rays")
+        normals = []
         for j in range(self.fan.n_rays):
             others = [c for i, c in enumerate(self.ray_classes) if i != j]
-            part = PolyCone.from_generators(self.fan.rho, others)
-            cone = part if cone is None else cone.intersect(part)
-        if cone is None:
-            raise InternalError("fan has no rays")
-        return cone
+            normals.extend(PolyCone.from_generators(self.fan.rho, others).facet_normals)
+        return PolyCone.from_inequalities(self.fan.rho, normals)
 
     @cached_property
     def ample_class(self) -> Vec | None:

@@ -505,26 +505,14 @@ def coordinate_factors(fan: Fan) -> list[tuple[tuple[int, ...], Fan, tuple[int, 
     or an empty list when the fan does not split. The factors multiply back
     to the input fan up to the induced ray reindexing (verified).
     """
-    parent = list(range(fan.dim))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    uf = mdscones._UnionFind(fan.dim)
     for r in fan.rays:
         support = [k for k, x in enumerate(r) if x != 0]
         for k in support[1:]:
-            union(support[0], k)
+            uf.union(support[0], k)
     blocks: dict[int, list[int]] = {}
     for k in range(fan.dim):
-        blocks.setdefault(find(k), []).append(k)
+        blocks.setdefault(uf.find(k), []).append(k)
     if len(blocks) < 2:
         return []
     comps = sorted(tuple(sorted(v)) for v in blocks.values())

@@ -204,28 +204,33 @@ def rational_contractions(
     """Every cone of the chamber fan down to the requested codimension,
     each face reported once no matter how many chambers share it."""
     rho = atlas.fan.rho
-    found: dict[tuple, tuple[PolyCone, set[int]]] = {}
+    faces: dict[tuple, PolyCone] = {}
+    hosts: dict[tuple, set[int]] = {}
     for chamber in atlas.chambers:
-        for face in chamber.cone.all_faces():
-            if max_codim is not None and rho - face.cone.dim > max_codim:
+        # A face is spanned by the chamber generators it keeps, and a cone
+        # is spanned by its canonical generators, so a hit on a canonical
+        # key is exactly this face for any chamber. On pointed chambers the
+        # kept generators are canonical, so a shared face always hits.
+        for sub in chamber.cone.face_generator_sets():
+            sigma = faces.get(sub)
+            if sigma is None:
+                sigma = PolyCone.from_generators(rho, sub)
+                faces[sigma.generators] = sigma
+            if max_codim is not None and rho - sigma.dim > max_codim:
                 continue
-            key = face.cone.generators
-            if key in found:
-                found[key][1].add(chamber.index)
-            else:
-                found[key] = (face.cone, {chamber.index})
+            hosts.setdefault(sigma.generators, set()).add(chamber.index)
     inv = atlas.inventory
     out = []
-    for key in sorted(found):
-        sigma, hosts = found[key]
+    for key in sorted(hosts):
+        sigma = faces[key]
         out.append(
             RationalContractionDescriptor(
                 sigma=sigma,
                 target_rho=sigma.dim,
                 kind=_classify_position(inv, sigma),
                 regular=inv.nef.contains_cone(sigma),
-                host_chamber=min(hosts),
-                host_chambers=tuple(sorted(hosts)),
+                host_chamber=min(hosts[key]),
+                host_chambers=tuple(sorted(hosts[key])),
             )
         )
     out.sort(key=lambda d: (d.target_rho, d.sigma.generators))

@@ -117,6 +117,8 @@ cone 1
     ("ray 1 0\n", "before fan header"),
     ("fan x dim 2\nfan y dim 2\n", "line 2"),
     ("fan x dim two\n", "not an integer"),
+    ("fan x dim -1\nray\n", "line 1: dimension -1 is not positive"),
+    ("fan x dim 0\nray\ncone\n", "line 1: dimension 0 is not positive"),
     ("fan x\n", "expected"),
     ("fan x dim 2\nray 1\n", "expected 2"),
     ("fan x dim 2\nray 1 0\nray 0 1\nray -1 -1\ncone 0 1 2\n", "cone"),

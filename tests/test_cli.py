@@ -131,6 +131,21 @@ def test_unknown_instance_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_unreadable_instance_file_exit_two(capsys, tmp_path, monkeypatch):
+    bad = tmp_path / "latin1.fan"
+    bad.write_bytes("fan caf\xe9 dim 1\n".encode("latin-1"))
+    assert cli.run(["analyze", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err and str(bad) in err
+    assert cli.run(["analyze", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read instance file" in err and str(tmp_path) in err
+    # the same wrapping applies to files found under TORICMDS_CATALOG_DIR
+    monkeypatch.setenv("TORICMDS_CATALOG_DIR", str(tmp_path))
+    assert cli.run(["analyze", "latin1"]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
 def test_instance_from_file(capsys, tmp_path):
     path = tmp_path / "square.fan"
     path.write_text(catalog.write_fan_text("square",
