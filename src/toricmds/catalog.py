@@ -31,7 +31,7 @@ def projective_space(n: int) -> Fan:
     rays = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     rays.append(tuple([-1] * n))
     cones = list(combinations(range(n + 1), n))
-    return fanmod.build_fan(n, rays, cones, check="fast")
+    return fanmod.build_fan(n, rays, cones)
 
 
 def weighted_projective(*weights: int) -> Fan:
@@ -51,7 +51,7 @@ def weighted_projective(*weights: int) -> Fan:
         )
     v0 = tuple(-w // weights[0] for w in weights[1:])
     cones = list(combinations(range(n + 1), n))
-    return fanmod.build_fan(n, [v0] + rays, cones, check="fast")
+    return fanmod.build_fan(n, [v0] + rays, cones)
 
 
 def hirzebruch(r: int) -> Fan:
@@ -60,7 +60,7 @@ def hirzebruch(r: int) -> Fan:
         raise ValidationError("hirzebruch parameter must be nonnegative")
     rays = [(1, 0), (0, 1), (-1, r), (0, -1)]
     cones = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    return fanmod.build_fan(2, rays, cones, check="fast")
+    return fanmod.build_fan(2, rays, cones)
 
 
 def projective_line_power(k: int) -> Fan:

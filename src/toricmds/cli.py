@@ -243,10 +243,9 @@ def cmd_mmp(args) -> int:
 
 def cmd_classify(args) -> int:
     name, fan = load_instance(args.instance)
-    dd = fanmod.data(fan)
     profiles = fanomod.divisor_profiles(fan)
     nonmovable = {j for j, _ in mdscones.nonmovable_prime_divisors(fan)}
-    can_type = fan.dim == 4 and dd.is_smooth and dd.is_fano
+    can_type = fanomod.is_smooth_fano_fourfold(fan)
     rows = []
     for p in profiles:
         row = {
@@ -284,12 +283,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _verify_one(name: str, fan: fanmod.Fan):
-    if not fanomod.is_smooth_fano_fourfold(fan):
-        return None
-    return fanomod.audit_bounds(fan)
-
-
 def cmd_verify(args) -> int:
     targets: list[tuple[str, fanmod.Fan]] = []
     if args.all_catalog:
@@ -302,11 +295,10 @@ def cmd_verify(args) -> int:
     reports = {}
     skipped = []
     for name, fan in targets:
-        rep = _verify_one(name, fan)
-        if rep is None:
-            skipped.append(name)
+        if fanomod.is_smooth_fano_fourfold(fan):
+            reports[name] = fanomod.audit_bounds(fan)
         else:
-            reports[name] = rep
+            skipped.append(name)
     coverage: dict[str, int] = {}
     alarms = []
     for name, rep in reports.items():

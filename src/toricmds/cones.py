@@ -14,8 +14,8 @@ zero rows, so two rays are adjacent iff no third ray vanishes on every row
 both vanish on (Fukuda and Prodon, 1996), and a ray made from two adjacent
 rays vanishes on exactly the rows both vanish on. A pointed cone needs one
 conversion: its extreme rays are the inputs no other input dominates in
-zero set over the dual's rays, and the full dimensional case of the
-inequality description is the same argument on the dual.
+zero set over the dual's rays. A cone given by inequalities is built as the
+dual of the cone its normals generate, so it takes the same path.
 
 All vectors are primitive integer tuples. Nothing here knows about fans;
 this is the geometry substrate the toric layers build on.
@@ -235,6 +235,9 @@ class PolyCone:
         normals: Iterable[Sequence[int]],
         equations: Iterable[Sequence[int]] = (),
     ) -> "PolyCone":
+        """{x : a.x >= 0 for each normal a, e.x = 0 for each equation e},
+        the dual of the cone generated by the normals and both signs of the
+        equations."""
         ineqs = list(normals)
         for e in equations:
             ineqs.append(tuple(e))
@@ -242,19 +245,7 @@ class PolyCone:
         for v in ineqs:
             if len(v) != ambient_dim:
                 raise ValidationError(f"normal {tuple(v)} has wrong length")
-        lin_g, rays_g = _vrep(ambient_dim, ineqs)
-        gens_c = _with_pairs(lin_g, rays_g)
-        d = linalg.rank(gens_c) if gens_c else 0
-        if d == ambient_dim:
-            # full dimensional: the dual is pointed, and its extreme rays
-            # (the facet normals) are among the inequalities
-            normals_c = _extreme_inputs(_clean(ineqs), rays_g)
-        else:
-            lin_n, rays_n = _vrep(ambient_dim, gens_c) if gens_c else (
-                _identity(ambient_dim), []
-            )
-            normals_c = _with_pairs(lin_n, rays_n)
-        return cls(ambient_dim, gens_c, normals_c, d, len(lin_g))
+        return cls.from_generators(ambient_dim, ineqs).dual()
 
     @classmethod
     def full_space(cls, ambient_dim: int) -> "PolyCone":

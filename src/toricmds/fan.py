@@ -73,6 +73,25 @@ def _wall_incidence(fan: Fan) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     return incidence
 
 
+# Seeded draws of the generic point before build_fan gives up. A draw is
+# refused only when it lands on a cone boundary; each wall's hyperplane
+# holds at most 1/1995 of the points of [-997, 997]^dim.
+_GENERIC_DRAWS = 32
+
+
+def _interior_holders(fan: Fan, point: Vec) -> list[tuple[int, ...]] | None:
+    """The maximal cones holding the point in their interior, or None when
+    the point lies on the boundary of a maximal cone."""
+    holders = []
+    for c in fan.max_cones:
+        inside, interior = _cone_membership(fan.cone_rays(c), point)
+        if inside and not interior:
+            return None
+        if interior:
+            holders.append(c)
+    return holders
+
+
 def build_fan(
     dim: int,
     rays: Iterable[Sequence[int]],
@@ -81,10 +100,46 @@ def build_fan(
 ) -> Fan:
     """Validate and construct a complete simplicial fan.
 
-    check="full" runs the quadratic pairwise proper-intersection test on top
-    of the structural checks; "fast" keeps the structural checks (simplicial,
-    primitive distinct rays all used, every wall shared by exactly two cones,
-    deterministic coverage samples); "none" trusts the caller.
+    check="full" proves the input is a complete simplicial fan; "none"
+    trusts the caller. The proof needs primitive distinct rays, each used;
+    maximal cones of dim independent rays; every wall (facet of a maximal
+    cone) in exactly two maximal cones, which lie on opposite sides of it;
+    and one generic point in the interior of exactly one maximal cone and
+    on no cone's boundary. This is the characterisation of triangulations
+    by the pseudomanifold property plus one point covered once (De Loera,
+    Rambau and Santos, "Triangulations", 2010), in fan form:
+
+    Covering degree is 1. Work in R^dim. Let B be the union of the cone
+    boundaries and S the union of their codimension-2 faces. For x off B
+    let deg(x) count the maximal cones holding x in their interior. Take x
+    in B but off S. Every cone with x on its boundary holds x in the
+    relative interior of exactly one of its walls, and the other cone of
+    that wall also has x on its boundary and lies across the wall. So those
+    cones split into pairs, and each pair adds exactly one to deg on every
+    side of x. Hence deg takes one value around x, and it extends to a
+    locally constant function off S. S is a finite union of cones of
+    dimension at most dim - 2, so its complement is connected, and deg is
+    1 everywhere, its value at the generic point. The cones therefore
+    cover R^dim and their interiors are disjoint.
+
+    Cones meet in common faces. Take a face tau of a maximal cone and x in
+    its relative interior. Near x, a cone containing tau is the preimage
+    of its projection along span(tau). These projections form the link of
+    tau: simplicial cones whose walls come from the walls through tau, so
+    they too are paired on opposite sides. By the same argument the link
+    has a constant degree, which is positive because tau lies in some
+    maximal cone, and at most deg = 1. So the cones containing tau cover a
+    neighbourhood of x. The interior of any maximal cone holding x meets
+    that neighbourhood, and interiors are disjoint, so every maximal cone
+    holding x contains tau. If x were also in the relative interior of a
+    face tau' != tau, a cone holding x would contain both faces, but a
+    point of a simplicial cone lies in the relative interior of only one of
+    its faces. So a point of two maximal cones lies in a face spanned by
+    their common rays, and the two cones meet in that face.
+
+    Opposite sides are read off orientations: with the cone's rays sorted,
+    det(wall rays, extra ray) has the sign of the cone's determinant times
+    (-1)^(dim - 1 - p), where p is the extra ray's position in the cone.
 
     Only code that has proved the output valid may pass "none": surgery that
     rewrites the star of a circuit in a fan that is already valid, after
@@ -93,9 +148,9 @@ def build_fan(
     star; star_subdivision checks that the new ray is a new ray strictly
     inside the subdivided cone). Everything else, user-supplied fans,
     products and the fans built by target_model or coordinate_factors,
-    keeps "fast" or "full", because no local argument covers them.
+    keeps the default check, because no local argument covers them.
     """
-    if check not in ("none", "fast", "full"):
+    if check not in ("none", "full"):
         raise ValidationError(f"unknown check level {check!r}")
     ray_list = [tuple(int(x) for x in v) for v in rays]
     cone_list = [tuple(sorted(int(i) for i in c)) for c in max_cones]
@@ -114,52 +169,50 @@ def build_fan(
     if len(set(ray_list)) != len(ray_list):
         raise ValidationError("duplicate rays")
     used: set[int] = set()
+    orientation: dict[tuple[int, ...], int] = {}
     for c in fan.max_cones:
         if len(c) != dim or len(set(c)) != dim:
             raise ValidationError(f"cone {c} does not have {dim} distinct rays")
         if any(i < 0 or i >= len(ray_list) for i in c):
             raise ValidationError(f"cone {c} references a missing ray")
-        if linalg.det([ray_list[i] for i in c]) == 0:
+        d = linalg.det([ray_list[i] for i in c])
+        if d == 0:
             raise ValidationError(f"cone {c} is not simplicial (dependent rays)")
+        orientation[c] = 1 if d > 0 else -1
         used.update(c)
     if used != set(range(len(ray_list))):
         raise ValidationError("some rays appear in no maximal cone")
 
-    # every wall must be shared by exactly two maximal cones
+    def side(c: tuple[int, ...], facet: tuple[int, ...]) -> int:
+        pos = next(k for k, i in enumerate(c) if i not in facet)
+        return orientation[c] * (-1) ** (dim - 1 - pos)
+
     for facet, owners in _wall_incidence(fan).items():
         if len(owners) != 2:
             raise ValidationError(
                 f"wall {facet} belongs to {len(owners)} maximal cones, expected 2"
             )
+        a, b = owners
+        if side(a, facet) == side(b, facet):
+            raise ValidationError(
+                f"cones {a} and {b} lie on the same side of wall {facet}"
+            )
 
-    # deterministic generic samples: covered, and no two interiors overlap
     rng = random.Random(0xFA9)
-    for _ in range(4):
+    for _ in range(_GENERIC_DRAWS):
         p = tuple(rng.randint(-997, 997) for _ in range(dim))
-        holders, strict = [], []
-        for c in fan.max_cones:
-            inside, interior = _cone_membership(fan.cone_rays(c), p)
-            if inside:
-                holders.append(c)
-            if interior:
-                strict.append(c)
-        if not holders:
-            raise ValidationError(f"fan is not complete: {p} is uncovered")
-        if len(strict) > 1:
-            raise ValidationError(f"cones {strict[0]} and {strict[1]} overlap")
-
-    if check == "full":
-        for ca, cb in combinations(fan.max_cones, 2):
-            common = sorted(set(ca) & set(cb))
-            pa = PolyCone.from_generators(dim, fan.cone_rays(ca))
-            pb = PolyCone.from_generators(dim, fan.cone_rays(cb))
-            inter = pa.intersect(pb)
-            expected = PolyCone.from_generators(dim, fan.cone_rays(common))
-            if inter != expected:
-                raise ValidationError(
-                    f"cones {ca} and {cb} do not meet in a common face"
-                )
-    return fan
+        holders = _interior_holders(fan, p)
+        if holders is None:
+            continue
+        if len(holders) != 1:
+            raise ValidationError(
+                f"point {p} is interior to {len(holders)} maximal cones, expected 1"
+            )
+        return fan
+    raise InternalError(
+        f"no point off every cone boundary in {_GENERIC_DRAWS} draws: "
+        f"rays {fan.rays} cones {fan.max_cones}"
+    )
 
 
 @dataclass(frozen=True)
@@ -543,7 +596,7 @@ def product(f1: Fan, f2: Fan) -> Fan:
         for c1 in f1.max_cones
         for c2 in f2.max_cones
     ]
-    return build_fan(d1 + d2, rays, cones, check="fast")
+    return build_fan(d1 + d2, rays, cones)
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

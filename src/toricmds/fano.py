@@ -529,7 +529,7 @@ def coordinate_factors(fan: Fan) -> list[tuple[tuple[int, ...], Fan, tuple[int, 
                 for c in fan.max_cones
             }
         )
-        factor = fanmod.build_fan(len(coords), rays, cones, check="fast")
+        factor = fanmod.build_fan(len(coords), rays, cones)
         factors.append((coords, factor, idx))
     rebuilt = factors[0][1]
     mapping = list(factors[0][2])
@@ -647,7 +647,7 @@ def _smooth_surface_blowup_target(fan: Fan) -> Fan | None:
     return None
 
 
-def audit_bounds(fan: Fan, cap: int = mdscones.MAX_CHAMBERS) -> BoundsReport:
+def audit_bounds(fan: Fan) -> BoundsReport:
     """Check every bound predicate whose hypothesis this fourfold satisfies.
 
     Each record pairs a hypothesis test with its concluded bound; a failed
@@ -659,7 +659,7 @@ def audit_bounds(fan: Fan, cap: int = mdscones.MAX_CHAMBERS) -> BoundsReport:
     dd = fanmod.data(fan)
     rho = fan.rho
     c_value, c_witness = c_invariant(fan)
-    atlas = mdscones.chamber_atlas(fan, cap=cap)
+    atlas = mdscones.chamber_atlas(fan, cap=mdscones.MAX_CHAMBERS)
     inv = atlas.inventory
     contractions = mdscones.rational_contractions(atlas)
     records = []

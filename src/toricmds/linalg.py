@@ -21,10 +21,6 @@ from typing import Iterable, Sequence
 Vec = tuple[int, ...]
 
 
-def vec_gcd(v: Iterable[int]) -> int:
-    return gcd(*v)
-
-
 def primitive(v: Sequence[int]) -> Vec:
     """Divide an integer vector by the gcd of its entries.
 
@@ -56,18 +52,6 @@ def dot(a: Sequence, b: Sequence):
     if len(a) != len(b):
         raise ValueError(f"dot of vectors of lengths {len(a)} and {len(b)}")
     return sum(map(mul, a, b))
-
-
-def vadd(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vsub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
 
 
 def vneg(a: Sequence) -> tuple:

@@ -467,7 +467,7 @@ def target_model(
     for cone, rays in piece_cones:
         idxs = sorted({ray_map[i] for i in rays if ray_map[i] is not None})
         y_cones.append(tuple(idxs))
-    y_fan = fanmod.build_fan(dim_y, y_rays, y_cones, check="fast")
+    y_fan = fanmod.build_fan(dim_y, y_rays, y_cones)
     y_dd = fanmod.data(y_fan)
     rho_y = y_fan.rho
     if rho_y != desc.sigma.dim:

@@ -154,6 +154,24 @@ def test_instance_from_file(capsys, tmp_path):
     assert "rho 2" in out
 
 
+@pytest.mark.parametrize("rays, cones", [
+    # walls paired, but two cones lie on the same side of ray 4
+    ([(-3, -2), (-3, 1), (0, -1), (1, 0), (2, -3)],
+     [(0, 1), (0, 4), (1, 3), (2, 3), (2, 4)]),
+    # pentagram: walls paired on opposite sides, the cones wind twice
+    ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+     [(i, (i + 1) % 5) for i in range(5)]),
+])
+def test_overlapping_fan_file_exit_two(capsys, tmp_path, rays, cones):
+    path = tmp_path / "overlap.fan"
+    path.write_text("fan overlap dim 2\n"
+                    + "".join(f"ray {x} {y}\n" for x, y in rays)
+                    + "".join(f"cone {a} {b}\n" for a, b in cones))
+    assert cli.run(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.strip()
+
+
 def test_instance_from_env_dir(capsys, tmp_path, monkeypatch):
     (tmp_path / "mine.fan").write_text(
         catalog.write_fan_text("mine", catalog.get("p2"))

@@ -157,10 +157,18 @@ def test_build_fan_rejects_incomplete():
 
 
 def test_build_fan_rejects_overlap():
-    rays = [(1, 0), (0, 1), (-1, -1), (1, 1)]
-    cones = [(0, 1), (1, 2), (0, 2), (0, 3)]
-    with pytest.raises(ValidationError):
-        F.build_fan(2, rays, cones, check="full")
+    cases = [
+        ([(1, 0), (0, 1), (-1, -1), (1, 1)], [(0, 1), (1, 2), (0, 2), (0, 3)]),
+        # walls paired, but (0, 4) and (2, 4) lie on the same side of ray 4
+        ([(-3, -2), (-3, 1), (0, -1), (1, 0), (2, -3)],
+         [(0, 1), (0, 4), (1, 3), (2, 3), (2, 4)]),
+        # pentagram: walls paired on opposite sides, the cones wind twice
+        ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+         [(i, (i + 1) % 5) for i in range(5)]),
+    ]
+    for rays, cones in cases:
+        with pytest.raises(ValidationError):
+            F.build_fan(2, rays, cones, check="full")
 
 
 def test_build_fan_rejects_non_simplicial_cone():
@@ -183,11 +191,11 @@ def test_build_fan_rejects_unused_ray():
 
 def test_build_fan_check_levels():
     f_none = F.build_fan(2, P2_RAYS, P2_CONES, check="none")
-    f_fast = F.build_fan(2, P2_RAYS, P2_CONES, check="fast")
     f_full = F.build_fan(2, P2_RAYS, P2_CONES, check="full")
-    assert f_none.key() == f_fast.key() == f_full.key()
-    with pytest.raises(ValidationError):
-        F.build_fan(2, P2_RAYS, P2_CONES, check="bogus")
+    assert f_none.key() == f_full.key()
+    for level in ("fast", "bogus"):
+        with pytest.raises(ValidationError):
+            F.build_fan(2, P2_RAYS, P2_CONES, check=level)
 
 
 def test_fans_equal_fixes_ray_order():

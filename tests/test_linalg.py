@@ -9,12 +9,6 @@ from toricmds import linalg
 ints = st.integers(min_value=-30, max_value=30)
 
 
-def test_vec_gcd():
-    assert linalg.vec_gcd([0, 0, 0]) == 0
-    assert linalg.vec_gcd([4, -6]) == 2
-    assert linalg.vec_gcd([7]) == 7
-
-
 def test_primitive_basics():
     assert linalg.primitive((2, 4, -6)) == (1, 2, -3)
     assert linalg.primitive((0, -5)) == (0, -1)
@@ -29,15 +23,12 @@ def test_primitive_fraction():
 @given(st.lists(ints, min_size=1, max_size=6).filter(lambda v: any(v)))
 def test_primitive_is_parallel_and_coprime(v):
     p = linalg.primitive(v)
-    g = linalg.vec_gcd(v)
+    g = math.gcd(*v)
     assert math.gcd(*([abs(x) for x in p] + [0])) in (0, 1)
     assert tuple(x // g for x in v) == p
 
 
 def test_vector_ops():
-    assert linalg.vadd((1, 2), (3, -1)) == (4, 1)
-    assert linalg.vsub((1, 2), (3, -1)) == (-2, 3)
-    assert linalg.vscale(3, (1, -2)) == (3, -6)
     assert linalg.vneg((1, -2)) == (-1, 2)
     assert linalg.dot((1, 2, 3), (4, 5, 6)) == 32
     assert linalg.is_zero((0, 0)) and not linalg.is_zero((0, 1))

@@ -2,9 +2,9 @@
 
 flip, contract_divisorial and star_subdivision build their output with
 build_fan(check="none") after checking a local certificate. Every fan they
-produce here is rebuilt with the global checks that were skipped and must
-come back with the same key; the negative cases show the certificate
-rejects rays that do not belong to the fan.
+produce here is rebuilt with build_fan's default check, the global proof
+that was skipped, and must come back with the same key; the negative cases
+show the certificate rejects rays that do not belong to the fan.
 """
 
 import dataclasses
@@ -20,9 +20,9 @@ STRATEGIES = ("first", "random", "scaling")
 DIVISORS_PER_FAN = 8
 
 
-def assert_valid(fans, check="fast"):
+def assert_valid(fans):
     for fan in fans:
-        rebuilt = F.build_fan(fan.dim, fan.rays, fan.max_cones, check=check)
+        rebuilt = F.build_fan(fan.dim, fan.rays, fan.max_cones)
         assert rebuilt.key() == fan.key(), fan
 
 
@@ -31,10 +31,6 @@ def test_atlas_models_pass_the_global_checks(name, atlas_of):
     models = [ch.model for ch in atlas_of(name).chambers]
     assert len(models) > 1
     assert_valid(models)
-    if name == "blpt-p1cubed":
-        assert_valid(models, check="full")
-    elif name == "blpt-p1x4":
-        assert_valid(models[::10], check="full")
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +76,6 @@ def test_surgery_outputs_pass_the_global_check(surgery_outputs):
     assert counts["programs"] == len(catalog.names()) * DIVISORS_PER_FAN * len(STRATEGIES)
     assert counts["steps"] > 0 and len(fans) > 50
     assert_valid(fans)
-    assert_valid([f for f in fans if f.dim <= 3], check="full")
 
 
 def rays_of(fan, kind):
