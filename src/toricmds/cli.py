@@ -67,6 +67,17 @@ def _read_instance_file(path: str) -> tuple[str, fanmod.Fan]:
     return catalogmod.parse_fan_text(text)
 
 
+def _write_output_file(path: str, text: str) -> None:
+    """Write a --dot or --trace file; an unwritable path is bad input."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write output file {path!r}: {exc.strerror or exc}"
+        ) from exc
+
+
 def _parse_divisor(text: str, n_rays: int) -> tuple:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != n_rays:
@@ -169,8 +180,7 @@ def cmd_chambers(args) -> int:
     )
     _emit(payload, args.json, lines)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(chamber_graph_dot(name, atlas))
+        _write_output_file(args.dot, chamber_graph_dot(name, atlas))
     return 0
 
 
@@ -194,7 +204,10 @@ def _interactive_chooser(candidates, fan, divisor) -> int:
             f"J- {list(r.jminus)} J+ {list(r.jplus)}"
         )
     while True:
-        raw = input(f"choose 0..{len(candidates) - 1}: ").strip()
+        try:
+            raw = input(f"choose 0..{len(candidates) - 1}: ").strip()
+        except EOFError:
+            raise UsageError("input ended before a candidate ray was chosen") from None
         try:
             k = int(raw)
         except ValueError:
@@ -236,8 +249,7 @@ def cmd_mmp(args) -> int:
     else:
         sys.stdout.write(text)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output_file(args.trace, text)
     return 0 if result.outcome == "semiample" else EXIT_FIBER_TYPE
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import linalg, lp
+from . import linalg
 from .errors import InternalError, ValidationError
 from .linalg import Vec, dot, is_zero, primitive, vneg
 
@@ -248,10 +248,6 @@ class PolyCone:
         return cls.from_generators(ambient_dim, ineqs).dual()
 
     @classmethod
-    def full_space(cls, ambient_dim: int) -> "PolyCone":
-        return cls.from_inequalities(ambient_dim, [])
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "PolyCone":
         return cls.from_generators(ambient_dim, [])
 
@@ -270,10 +266,6 @@ class PolyCone:
 
     def contains_point(self, x: Sequence[int]) -> bool:
         return all(dot(n, x) >= 0 for n in self.facet_normals)
-
-    def contains_point_lp(self, x: Sequence[int]) -> bool:
-        """Independent membership check through the generator description."""
-        return lp.in_cone(self.generators, x)
 
     def contains_cone(self, other: "PolyCone") -> bool:
         return all(self.contains_point(g) for g in other.generators)

@@ -240,12 +240,6 @@ class Wall:
                 return c
         return 0
 
-    def full_vector(self, n_rays: int) -> Vec:
-        v = [0] * n_rays
-        for i, c in self.relation:
-            v[i] = c
-        return tuple(v)
-
     @property
     def anticanonical_degree(self) -> int:
         return sum(c for _, c in self.relation)
@@ -384,7 +378,7 @@ class FanData:
 
     @cached_property
     def nef_cone(self) -> PolyCone:
-        return PolyCone.from_inequalities(self.fan.rho, self.wall_classes)
+        return self.ne_cone.dual()
 
     @cached_property
     def eff_cone(self) -> PolyCone:
@@ -503,16 +497,8 @@ def walls(fan: Fan) -> list[Wall]:
     return data(fan).walls
 
 
-def class_group_rank(fan: Fan) -> int:
-    return fan.rho
-
-
 def divisor_class(fan: Fan, coeffs: Sequence) -> tuple:
     return data(fan).divisor_class(coeffs)
-
-
-def anticanonical_class(fan: Fan) -> Vec:
-    return data(fan).anticanonical
 
 
 def is_smooth(fan: Fan) -> bool:

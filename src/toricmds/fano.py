@@ -6,6 +6,8 @@ exceptional planes and lines, audits anticanonical degrees along flip
 chains through a common resolution, classifies non-movable prime
 divisors by their terminal divisorial contraction, and checks a battery
 of Picard-number bound predicates on any smooth Fano fourfold instance.
+The bound audit is a table of ten records built by one rule: a record's
+conclusion is evaluated only when its hypothesis holds.
 """
 
 from __future__ import annotations
@@ -606,14 +608,31 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def _facet_extremal_ray(model: Fan, sigma) -> ExtremalRay:
-    """The extremal ray of a chamber model matching a facet of its nef cone."""
+def _record(name: str, hypothesis, conclusion, details: str) -> TheoremRecord:
+    """A record whose conclusion (a callable) is evaluated only when the
+    hypothesis holds; under a false hypothesis the conclusion is None."""
+    holds = bool(hypothesis)
+    return TheoremRecord(name, holds, conclusion() if holds else None, details)
+
+
+def _bound_record(name: str, rho: int, hits, details: str) -> TheoremRecord:
+    """The record "rho <= BOUND_LIMITS[name]" under the hypothesis that hits
+    is non-empty."""
+    lim = BOUND_LIMITS[name]
+    return _record(name, hits, lambda: rho <= lim, f"{details}; bound {lim}")
+
+
+def _facet_fiber_ray(atlas: mdscones.ChamberAtlas, d) -> ExtremalRay:
+    """The fiber-type extremal ray of the host chamber model of a face."""
+    model = atlas.chambers[d.host_chamber].model
     hits = [
         r for r in fanmod.extremal_rays(model)
-        if all(dot(g, r.cls) == 0 for g in sigma.generators)
+        if all(dot(g, r.cls) == 0 for g in d.sigma.generators)
     ]
     if len(hits) != 1:
         raise InternalError("facet does not match one extremal ray")
+    if hits[0].kind != "fiber":
+        raise InternalError("effective-boundary facet is not fiber type")
     return hits[0]
 
 
@@ -622,36 +641,68 @@ def _surface_max_selfdual(fan: Fan) -> int:
     return max(-w.coefficient(w.shared[0]) for w in fanmod.walls(fan))
 
 
-def _is_surface_blowdown_or_conic(ray: ExtremalRay) -> bool:
+def _is_smooth_surface_blowdown(ray: ExtremalRay) -> bool:
     """True when the ray contracts a divisor onto a surface with fibers of
-    degree one, or gives a conic bundle structure."""
-    if ray.kind == "fiber":
-        return ray.image_dim == 3
+    degree one."""
     if ray.kind != "divisorial" or ray.image_dim != 2:
         return False
     plus = sorted(ray.pairing[j] for j in ray.jplus)
     return plus == [1, 1] and ray.pairing[ray.jminus[0]] == -1
 
 
-def _smooth_surface_blowup_target(fan: Fan) -> Fan | None:
-    """Target of a blow-down along an invariant surface, when one exists."""
-    for r in fanmod.extremal_rays(fan):
-        if r.kind != "divisorial" or r.image_dim != 2:
+def _has_smooth_surface_blowup(fan: Fan) -> bool:
+    """Is the fourfold the blow-up of a smooth Fano fourfold along an
+    invariant surface?"""
+    return any(
+        is_smooth_fano_fourfold(mmp.contract_divisorial(fan, r)[0])
+        for r in fanmod.extremal_rays(fan)
+        if _is_smooth_surface_blowdown(r)
+    )
+
+
+def _high_codimension_branch(fan: Fan, c_value: int, qe_targets) -> str | None:
+    """The admissible structure of a fourfold with c >= 3, or None.
+
+    Either the fourfold is a product of del Pezzo surfaces, or c = 3, rho is
+    5 or 6, and a regular quasi-elementary contraction maps onto a surface
+    of Picard number rho - 4 (for rho = 6 a minimal one, with every extremal
+    ray a conic bundle or a smooth surface blow-down).
+    """
+    split = _surface_product_split(fan)
+    if split is not None:
+        r1, r2 = split[0].rho, split[1].rho
+        if (
+            all(fanmod.is_fano(s) and fanmod.is_smooth(s) for s in split)
+            and max(r1, r2) == c_value + 1
+        ):
+            return f"product of del Pezzo surfaces with rho {r1}, {r2}"
+    rho = fan.rho
+    if c_value != 3 or rho not in (5, 6):
+        return None
+    want_rho = 1 if rho == 5 else 2
+    for d, tm in qe_targets:
+        if not d.regular or d.target_rho != want_rho or tm.fan.dim != 2:
             continue
-        plus = tuple(sorted(r.pairing[j] for j in r.jplus))
-        if plus != (1, 1) or r.pairing[r.jminus[0]] != -1:
-            continue
-        target, _ = mmp.contract_divisorial(fan, r)
-        if is_smooth_fano_fourfold(target):
-            return target
+        if rho == 5:
+            return "quasi-elementary contraction onto a rho-1 surface"
+        if _surface_max_selfdual(tm.fan) <= 1 and all(
+            (r.kind == "fiber" and r.image_dim == 3) or _is_smooth_surface_blowdown(r)
+            for r in fanmod.extremal_rays(fan)
+        ):
+            return (
+                "quasi-elementary contraction onto a minimal rho-2 "
+                "surface with only conic bundles and smooth "
+                "surface blow-downs"
+            )
     return None
 
 
 def audit_bounds(fan: Fan) -> BoundsReport:
     """Check every bound predicate whose hypothesis this fourfold satisfies.
 
-    Each record pairs a hypothesis test with its concluded bound; a failed
-    conclusion under a true hypothesis is reported as an alarm by the
+    Each record pairs a hypothesis test with its concluded bound, built by
+    one rule: the conclusion is evaluated only when the hypothesis holds. A
+    failed conclusion under a true hypothesis is reported as an alarm by the
     caller-facing report (it should never happen).
     """
     if not is_smooth_fano_fourfold(fan):
@@ -661,219 +712,79 @@ def audit_bounds(fan: Fan) -> BoundsReport:
     c_value, c_witness = c_invariant(fan)
     atlas = mdscones.chamber_atlas(fan, cap=mdscones.MAX_CHAMBERS)
     inv = atlas.inventory
-    contractions = mdscones.rational_contractions(atlas)
-    records = []
 
-    fiber_descs = [d for d in contractions if d.kind == "fiber-type"]
-    elem_fiber = [d for d in fiber_descs if d.target_rho == rho - 1]
-    lim = BOUND_LIMITS["elementary-fiber-type"]
-    records.append(
-        TheoremRecord(
-            name="elementary-fiber-type",
-            hypothesis_holds=bool(elem_fiber),
-            conclusion_holds=rho <= lim if elem_fiber else None,
-            details=f"{len(elem_fiber)} elementary fiber-type faces; bound {lim}",
-        )
-    )
-
-    qe_results = {}
-    for d in fiber_descs:
-        if d.target_rho >= 1:
-            qe_results[d.sigma.generators] = (d, mdscones.is_quasi_elementary(atlas, d))
-    nonreg_qe = [
-        (d, qe) for d, qe in qe_results.values() if qe.verdict and not d.regular
-    ]
-    lim = BOUND_LIMITS["nonregular-quasi-elementary"]
-    records.append(
-        TheoremRecord(
-            name="nonregular-quasi-elementary",
-            hypothesis_holds=bool(nonreg_qe),
-            conclusion_holds=rho <= lim if nonreg_qe else None,
-            details=f"{len(nonreg_qe)} non-regular quasi-elementary faces; bound {lim}",
-        )
-    )
-
-    qe_targets = {}
-    for d, qe in qe_results.values():
-        if qe.verdict:
-            qe_targets[d.sigma.generators] = (d, mdscones.target_model(atlas, d))
-
-    curve_hits = []
-    surface_hits = []
-    surface_ok = True
-    for d, tm in qe_targets.values():
-        if d.regular:
+    # one pass over the fiber-type faces, each reported once
+    elem_fiber, nonreg_qe, qe_targets = [], [], []
+    for d in mdscones.rational_contractions(atlas):
+        if d.kind != "fiber-type":
             continue
-        if tm.fan.dim == 1:
-            curve_hits.append(d)
-        elif tm.fan.dim == 2:
-            surface_hits.append(d)
-            if rho > d.target_rho + BOUND_LIMITS["nonregular-surface-target"]:
-                surface_ok = False
-    lim = BOUND_LIMITS["nonregular-curve-target"]
-    records.append(
-        TheoremRecord(
-            name="nonregular-curve-target",
-            hypothesis_holds=bool(curve_hits),
-            conclusion_holds=rho <= lim if curve_hits else None,
-            details=f"{len(curve_hits)} non-regular faces onto curves; bound {lim}",
-        )
-    )
-    records.append(
-        TheoremRecord(
-            name="nonregular-surface-target",
-            hypothesis_holds=bool(surface_hits),
-            conclusion_holds=surface_ok if surface_hits else None,
-            details=(
-                f"{len(surface_hits)} non-regular faces onto surfaces; "
-                f"bound rho_Y + {BOUND_LIMITS['nonregular-surface-target']}"
-            ),
-        )
-    )
-
-    reg_surface = [
-        (d, tm) for d, tm in qe_targets.values()
-        if d.regular and tm.fan.dim == 2
-    ]
-    lim = BOUND_LIMITS["regular-surface-target"]
-    target_lim = BOUND_LIMITS["regular-surface-target-picard"]
-    reg_ok = rho <= lim and all(
-        d.target_rho <= target_lim
-        and (d.target_rho != rho - 1 or rho <= 10)
-        for d, _ in reg_surface
-    )
-    records.append(
-        TheoremRecord(
-            name="regular-surface-target",
-            hypothesis_holds=bool(reg_surface),
-            conclusion_holds=reg_ok if reg_surface else None,
-            details=(
-                f"{len(reg_surface)} surface contractions; bounds rho {lim}, "
-                f"target rho {target_lim}, elementary 10"
-            ),
-        )
-    )
-
-    movable_extremal = []
+        if d.target_rho == rho - 1:
+            elem_fiber.append(d)
+        if d.target_rho >= 1 and mdscones.is_quasi_elementary(atlas, d).verdict:
+            if not d.regular:
+                nonreg_qe.append(d)
+            qe_targets.append((d, mdscones.target_model(atlas, d)))
+    curve_hits = [d for d, tm in qe_targets if not d.regular and tm.fan.dim == 1]
+    surface_hits = [d for d, tm in qe_targets if not d.regular and tm.fan.dim == 2]
+    reg_surface = [d for d, tm in qe_targets if d.regular and tm.fan.dim == 2]
     eff_gens = set(inv.eff.generators)
-    for j in range(fan.n_rays):
-        cls = primitive(dd.ray_classes[j])
-        if cls in eff_gens and inv.mov.contains_point(list(cls)):
-            movable_extremal.append(j)
-    lim = BOUND_LIMITS["movable-effective-extremal"]
-    records.append(
-        TheoremRecord(
-            name="movable-effective-extremal",
-            hypothesis_holds=bool(movable_extremal),
-            conclusion_holds=rho <= lim if movable_extremal else None,
-            details=(
-                f"movable divisor classes on effective extremal rays: "
-                f"{movable_extremal}; bound {lim}"
-            ),
-        )
-    )
-
-    threefold = []
-    for d in elem_fiber:
-        model = atlas.chambers[d.host_chamber].model
-        ray = _facet_extremal_ray(model, d.sigma)
-        if ray.kind != "fiber":
-            raise InternalError("effective-boundary facet is not fiber type")
-        if ray.image_dim == 3:
-            threefold.append(d)
-    lim = BOUND_LIMITS["elementary-threefold-target"]
-    records.append(
-        TheoremRecord(
-            name="elementary-threefold-target",
-            hypothesis_holds=bool(threefold),
-            conclusion_holds=rho <= lim if threefold else None,
-            details=f"{len(threefold)} elementary faces onto 3-folds; bound {lim}",
-        )
-    )
-
-    lim = BOUND_LIMITS["low-divisor-codimension"]
-    if c_value in (1, 2):
-        blowup = _smooth_surface_blowup_target(fan)
-        concl = rho <= lim or blowup is not None
-        detail = (
-            f"rho {rho} vs {lim}; smooth surface blow-down "
-            f"{'found' if blowup is not None else 'absent'}"
-        )
-    else:
-        concl = None
-        detail = f"c = {c_value} outside {{1, 2}}"
-    records.append(
-        TheoremRecord(
-            name="low-divisor-codimension",
-            hypothesis_holds=c_value in (1, 2),
-            conclusion_holds=concl,
-            details=detail,
-        )
-    )
-
-    if c_value >= 3:
-        branch = None
-        split = _surface_product_split(fan)
-        if split is not None:
-            s1, s2 = split
-            r1, r2 = s1.rho, s2.rho
-            if (
-                all(fanmod.is_fano(s) and fanmod.is_smooth(s) for s in split)
-                and c_value == max(r1 - 1, r2 - 1)
-                and max(r1, r2) == c_value + 1
-            ):
-                branch = f"product of del Pezzo surfaces with rho {r1}, {r2}"
-        if branch is None and c_value == 3 and rho in (5, 6):
-            want_rho = 1 if rho == 5 else 2
-            for d, tm in qe_targets.values():
-                if not d.regular or d.target_rho != want_rho or tm.fan.dim != 2:
-                    continue
-                if rho == 5:
-                    branch = "quasi-elementary contraction onto a rho-1 surface"
-                    break
-                if _surface_max_selfdual(tm.fan) <= 1 and all(
-                    _is_surface_blowdown_or_conic(r)
-                    for r in fanmod.extremal_rays(fan)
-                ):
-                    branch = (
-                        "quasi-elementary contraction onto a minimal rho-2 "
-                        "surface with only conic bundles and smooth "
-                        "surface blow-downs"
-                    )
-                    break
-        records.append(
-            TheoremRecord(
-                name="high-divisor-codimension",
-                hypothesis_holds=True,
-                conclusion_holds=branch is not None,
-                details=branch or "no admissible structure found",
-            )
-        )
-    else:
-        records.append(
-            TheoremRecord(
-                name="high-divisor-codimension",
-                hypothesis_holds=False,
-                conclusion_holds=None,
-                details=f"c = {c_value} < 3",
-            )
-        )
-
+    classes = [primitive(cls) for cls in dd.ray_classes]
+    movable_extremal = [
+        j for j, cls in enumerate(classes)
+        if cls in eff_gens and inv.mov.contains_point(list(cls))
+    ]
+    threefold = [d for d in elem_fiber if _facet_fiber_ray(atlas, d).image_dim == 3]
+    low = c_value in (1, 2)
+    blowup = low and _has_smooth_surface_blowup(fan)
+    high = c_value >= 3
+    branch = _high_codimension_branch(fan, c_value, qe_targets) if high else None
     has_small = any(r.kind == "small" for r in fanmod.extremal_rays(fan))
-    records.append(
-        TheoremRecord(
-            name="small-ray-codimension",
-            hypothesis_holds=has_small,
-            conclusion_holds=(
-                ((rho == 5 and c_value == 3) or c_value <= 2) if has_small else None
-            ),
-            details=f"small rays {'present' if has_small else 'absent'}; c = {c_value}",
-        )
-    )
 
-    return BoundsReport(
-        rho=rho,
-        c_value=c_value,
-        c_witness=c_witness,
-        records=tuple(records),
+    surface_lim = BOUND_LIMITS["nonregular-surface-target"]
+    reg_lim = BOUND_LIMITS["regular-surface-target"]
+    target_lim = BOUND_LIMITS["regular-surface-target-picard"]
+    low_lim = BOUND_LIMITS["low-divisor-codimension"]
+    records = (
+        _bound_record("elementary-fiber-type", rho, elem_fiber,
+                      f"{len(elem_fiber)} elementary fiber-type faces"),
+        _bound_record("nonregular-quasi-elementary", rho, nonreg_qe,
+                      f"{len(nonreg_qe)} non-regular quasi-elementary faces"),
+        _bound_record("nonregular-curve-target", rho, curve_hits,
+                      f"{len(curve_hits)} non-regular faces onto curves"),
+        _record(
+            "nonregular-surface-target", surface_hits,
+            lambda: all(rho <= d.target_rho + surface_lim for d in surface_hits),
+            f"{len(surface_hits)} non-regular faces onto surfaces; "
+            f"bound rho_Y + {surface_lim}",
+        ),
+        _record(
+            "regular-surface-target", reg_surface,
+            lambda: rho <= reg_lim and all(
+                d.target_rho <= target_lim and (d.target_rho != rho - 1 or rho <= 10)
+                for d in reg_surface
+            ),
+            f"{len(reg_surface)} surface contractions; bounds rho {reg_lim}, "
+            f"target rho {target_lim}, elementary 10",
+        ),
+        _bound_record("movable-effective-extremal", rho, movable_extremal,
+                      f"movable divisor classes on effective extremal rays: "
+                      f"{movable_extremal}"),
+        _bound_record("elementary-threefold-target", rho, threefold,
+                      f"{len(threefold)} elementary faces onto 3-folds"),
+        _record(
+            "low-divisor-codimension", low, lambda: rho <= low_lim or blowup,
+            (f"rho {rho} vs {low_lim}; smooth surface blow-down "
+             f"{'found' if blowup else 'absent'}")
+            if low else f"c = {c_value} outside {{1, 2}}",
+        ),
+        _record(
+            "high-divisor-codimension", high, lambda: branch is not None,
+            (branch or "no admissible structure found") if high else f"c = {c_value} < 3",
+        ),
+        _record(
+            "small-ray-codimension", has_small,
+            lambda: (rho == 5 and c_value == 3) or c_value <= 2,
+            f"small rays {'present' if has_small else 'absent'}; c = {c_value}",
+        ),
     )
+    return BoundsReport(rho=rho, c_value=c_value, c_witness=c_witness, records=records)

@@ -82,16 +82,6 @@ def nonneg_solve(
     return lam
 
 
-def in_cone(generators: Sequence[Sequence], point: Sequence) -> bool:
-    """Is the point a nonnegative combination of the generators?"""
-    if all(x == 0 for x in point):
-        return True
-    if not generators:
-        return False
-    cols = [list(gen) for gen in generators]
-    return nonneg_solve(cols, list(point)) is not None
-
-
 def strictly_positive_point(
     functionals: Sequence[Sequence], dim: int
 ) -> tuple[Fraction, ...] | None:

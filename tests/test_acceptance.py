@@ -251,6 +251,9 @@ def test_criterion_5_chamber_fan_axioms(atlas_of):
                 assert ch.cone.dim == fan.rho and ch.cone.is_pointed()
                 assert mov.contains_cone(ch.cone), name
                 assert ch.cone == F.data(ch.model).nef_cone
+                assert ch.cone == PolyCone.from_inequalities(
+                    fan.rho, F.data(ch.model).wall_classes
+                ), name
             # fan axioms: pairwise intersections are mutual faces
             for i, ci in enumerate(cones):
                 for cj in cones[i + 1:]:

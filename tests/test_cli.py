@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -100,6 +101,28 @@ def test_mmp_interactive_reads_stdin(capsys, monkeypatch):
         "--divisor=0,0,0,0,0,0,0,0,1", "--strategy", "interactive",
     ])
     assert "final outcome semiample" in out
+    # stdin at end of file before a choice is a usage error
+    monkeypatch.undo()
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code = cli.run([
+        "mmp", "catalog:blpt-p1x4",
+        "--divisor=0,0,0,0,0,0,0,0,1", "--strategy", "interactive",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: input ended" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chambers", "catalog:p1xp1", "--dot"],
+    ["mmp", "catalog:p2", "--divisor=1,0,0", "--trace"],
+])
+def test_unwritable_output_file_exit_two(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert cli.run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write output file" in err and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_mmp_divisor_length_error(capsys):

@@ -286,7 +286,7 @@ def test_constructors_on_edge_cases():
             fields(old_from_generators(dim, vecs))
         assert fields(PolyCone.from_inequalities(dim, vecs)) == \
             fields(old_from_inequalities(dim, vecs))
-    assert fields(PolyCone.full_space(3)) == fields(old_from_inequalities(3, []))
+    assert fields(PolyCone.from_inequalities(3, [])) == fields(old_from_inequalities(3, []))
 
 
 def test_adjacency_rejects_small_common_sets_and_third_rays():
