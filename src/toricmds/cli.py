@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
     name, fan = load_instance(args.instance)
     dd = fanmod.data(fan)
     inv = mdscones.cone_inventory(fan)
-    rays = fanmod.extremal_rays(fan) if dd.is_projective else []
+    rays = fanmod.extremal_rays(fan)
     kinds = {}
     for r in rays:
         kinds[r.kind] = kinds.get(r.kind, 0) + 1
@@ -128,10 +128,9 @@ def cmd_analyze(args) -> int:
         },
         "extremal_rays": kinds,
     }
-    if dd.is_projective:
-        c, witness = fanomod.c_invariant(fan)
-        payload["c"] = c
-        payload["c_witness_ray"] = witness
+    c, witness = fanomod.c_invariant(fan)
+    payload["c"] = c
+    payload["c_witness_ray"] = witness
     lines = [
         f"name {name}",
         f"dim {fan.dim} rays {fan.n_rays} cones {len(fan.max_cones)} "
@@ -146,8 +145,7 @@ def cmd_analyze(args) -> int:
             " ".join(f"{k} {v}" for k, v in sorted(kinds.items())) or "-"
         ),
     ]
-    if "c" in payload:
-        lines.append(f"c {payload['c']} (ray {payload['c_witness_ray']})")
+    lines.append(f"c {c} (ray {witness})")
     _emit(payload, args.json, lines)
     return 0
 
@@ -197,25 +195,29 @@ def chamber_graph_dot(name: str, atlas: mdscones.ChamberAtlas) -> str:
 
 
 def _interactive_chooser(candidates, fan, divisor) -> int:
-    print("candidate rays:")
+    # the dialogue goes to stderr, so stdout holds only the report
+    print("candidate rays:", file=sys.stderr)
     for k, r in enumerate(candidates):
         print(
             f"  [{k}] kind {r.kind} type ({r.exc_dim},{r.image_dim}) "
-            f"J- {list(r.jminus)} J+ {list(r.jplus)}"
+            f"J- {list(r.jminus)} J+ {list(r.jplus)}",
+            file=sys.stderr,
         )
     while True:
+        print(f"choose 0..{len(candidates) - 1}: ", end="", file=sys.stderr,
+              flush=True)
         try:
-            raw = input(f"choose 0..{len(candidates) - 1}: ").strip()
+            raw = input().strip()
         except EOFError:
             raise UsageError("input ended before a candidate ray was chosen") from None
         try:
             k = int(raw)
         except ValueError:
-            print(f"not an index: {raw!r}")
+            print(f"not an index: {raw!r}", file=sys.stderr)
             continue
         if 0 <= k < len(candidates):
             return k
-        print("out of range")
+        print("out of range", file=sys.stderr)
 
 
 def cmd_mmp(args) -> int:

@@ -301,7 +301,7 @@ class PolyCone:
 
     # -- faces -------------------------------------------------------------
 
-    def minimal_face_containing(self, vectors: Sequence[Vec]) -> "Face":
+    def minimal_face_containing(self, vectors: Sequence[Vec]) -> "PolyCone":
         """Smallest face of this cone containing every given vector.
 
         The vectors must lie in the cone.
@@ -314,14 +314,7 @@ class PolyCone:
         gens = [
             g for g in self.generators if all(dot(n, g) == 0 for n in act)
         ]
-        return Face(
-            cone=PolyCone.from_generators(self.ambient_dim, gens),
-            active_normals=tuple(act),
-        )
-
-    def faces_of_dim(self, k: int) -> list["Face"]:
-        """All faces of the given dimension, deterministically ordered."""
-        return [f for f in self.all_faces() if f.cone.dim == k]
+        return PolyCone.from_generators(self.ambient_dim, gens)
 
     def face_generator_sets(self) -> list[tuple[Vec, ...]]:
         """The generators lying on each face, one sorted tuple per face.
@@ -347,49 +340,20 @@ class PolyCone:
             for s in sorted(tuple(sorted(s)) for s in seen)
         ]
 
-    def all_faces(self) -> list["Face"]:
+    def all_faces(self) -> list["PolyCone"]:
         """Every face, the cone itself and its minimal face included."""
-        facets = self.proper_facet_normals()
         return [
-            Face(
-                cone=PolyCone.from_generators(self.ambient_dim, sub),
-                active_normals=tuple(
-                    n for n in facets if all(dot(n, g) == 0 for g in sub)
-                ),
-            )
+            PolyCone.from_generators(self.ambient_dim, sub)
             for sub in self.face_generator_sets()
         ]
 
     def is_face(self, sub: "PolyCone") -> bool:
         if not self.contains_cone(sub):
             return False
-        mf = self.minimal_face_containing(list(sub.generators))
-        return mf.cone == sub
+        return self.minimal_face_containing(list(sub.generators)) == sub
 
     def __repr__(self) -> str:
         return (
             f"PolyCone(dim {self.dim} in Q^{self.ambient_dim}, "
             f"{len(self.generators)} gens, lineality {self.lineality_dim})"
         )
-
-
-@dataclass(frozen=True)
-class Face:
-    """A face of a PolyCone: the face cone and the normals supporting it."""
-
-    cone: PolyCone
-    active_normals: tuple[Vec, ...]
-
-
-def star_face(cone: PolyCone, face: PolyCone) -> PolyCone:
-    """The face of the dual cone cut out by a face of the original cone.
-
-    For a face t of c this is dual(c) intersected with the orthogonal
-    complement of t. On a full dimensional pointed cone the map is an
-    inclusion reversing bijection between the two face lattices.
-    """
-    if not cone.is_face(face):
-        raise ValidationError("second argument is not a face of the first")
-    return PolyCone.from_inequalities(
-        cone.ambient_dim, cone.generators, equations=face.generators
-    )

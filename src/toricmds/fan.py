@@ -256,7 +256,6 @@ class ExtremalRay:
 
     cls: Vec
     pairing: Vec
-    wall_indices: tuple[int, ...]
     jminus: tuple[int, ...]
     jplus: tuple[int, ...]
     kind: str  # "fiber", "divisorial", "small"
@@ -465,7 +464,6 @@ class FanData:
                 ExtremalRay(
                     cls=g,
                     pairing=tuple(int(x) for x in pairing),
-                    wall_indices=tuple(walls_here),
                     jminus=jminus,
                     jplus=jplus,
                     kind=kind,

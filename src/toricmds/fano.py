@@ -34,7 +34,6 @@ class DivisorProfile:
     n1_dim: int
     codim: int
     movable: bool
-    type_tag: str | None = None
 
 
 def n1_dimension(fan: Fan, ray: int) -> int:

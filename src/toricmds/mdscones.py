@@ -41,7 +41,7 @@ def cone_inventory(fan: Fan) -> ConeInventory:
         raise ValidationError("cone inventory needs a projective fan")
     rho = fan.rho
     nef, mov, eff = dd.nef_cone, dd.mov_cone, dd.eff_cone
-    ne = nef.dual()
+    ne = dd.ne_cone
     me = eff.dual()
     for name, cone in (("nef", nef), ("mov", mov), ("eff", eff),
                        ("ne", ne), ("me", me)):
@@ -53,8 +53,6 @@ def cone_inventory(fan: Fan) -> ConeInventory:
         raise InternalError("nef cone is not inside the movable cone")
     if not eff.contains_cone(mov):
         raise InternalError("movable cone is not inside the effective cone")
-    if ne != dd.ne_cone:
-        raise InternalError("curve cone does not match the dual of nef")
     return ConeInventory(fan, nef, mov, eff, ne, me)
 
 
@@ -84,10 +82,6 @@ class ChamberAtlas:
     chambers: list[Chamber]
     adjacency: list[ChamberAdjacency]
     base_chamber: int = 0
-
-    def chamber_of(self, div_class: Sequence) -> list[int]:
-        """Indices of every chamber whose cone contains the class."""
-        return [c.index for c in self.chambers if c.cone.contains_point(div_class)]
 
 
 def chamber_atlas(fan: Fan, cap: int = MAX_CHAMBERS) -> ChamberAtlas:
@@ -180,24 +174,6 @@ def _classify_position(inv: ConeInventory, sigma: PolyCone) -> str:
     return "small"
 
 
-def describe_face(atlas: ChamberAtlas, sigma: PolyCone) -> RationalContractionDescriptor:
-    """Descriptor of a chamber-fan cone given as an explicit cone."""
-    hosts = tuple(
-        c.index for c in atlas.chambers if c.cone.contains_cone(sigma)
-    )
-    if not hosts:
-        raise ValidationError("cone is not contained in any chamber")
-    inv = atlas.inventory
-    return RationalContractionDescriptor(
-        sigma=sigma,
-        target_rho=sigma.dim,
-        kind=_classify_position(inv, sigma),
-        regular=inv.nef.contains_cone(sigma),
-        host_chamber=hosts[0],
-        host_chambers=hosts,
-    )
-
-
 def rational_contractions(
     atlas: ChamberAtlas, max_codim: int | None = None
 ) -> list[RationalContractionDescriptor]:
@@ -237,23 +213,22 @@ def rational_contractions(
     return out
 
 
-def _span_equations(sigma: PolyCone) -> list[Vec]:
-    """Integer functionals cutting out the linear span of the cone."""
-    gens = [list(g) for g in sigma.generators]
-    if not gens:
-        return [tuple(1 if k == i else 0 for k in range(sigma.ambient_dim))
-                for i in range(sigma.ambient_dim)]
-    return linalg.integer_kernel(gens, sigma.ambient_dim)
-
-
 @dataclass(frozen=True)
 class QuasiElementaryResult:
+    """Verdict and the three conditions behind it.
+
+    eff_face is the slice of the effective cone by the span of sigma, the
+    cone condition v tests; on a quasi-elementary cone it is the face of the
+    effective cone spanned by sigma.
+    """
+
     verdict: bool
     condition_iii: bool
     condition_iv: bool
     condition_v: bool
     minimal_eff_face_dim: int
     contracted_curves_dim: int
+    eff_face: PolyCone
 
 
 def is_quasi_elementary(
@@ -278,7 +253,7 @@ def is_quasi_elementary(
     sigma = desc.sigma
 
     min_face = inv.eff.minimal_face_containing(list(sigma.generators))
-    cond_iv = min_face.cone.dim == sigma.dim
+    cond_iv = min_face.dim == sigma.dim
 
     span_perp = PolyCone.from_inequalities(
         rho, [], equations=list(sigma.generators)
@@ -286,7 +261,9 @@ def is_quasi_elementary(
     me_f = inv.me.intersect(span_perp)
     cond_iii = me_f.dim == rho - sigma.dim
 
-    flat = PolyCone.from_inequalities(rho, [], equations=_span_equations(sigma))
+    flat = PolyCone.from_inequalities(
+        rho, [], equations=linalg.integer_kernel(sigma.generators, rho)
+    )
     eff_slice = inv.eff.intersect(flat)
     cond_v = eff_slice.dim == sigma.dim and inv.eff.is_face(eff_slice)
 
@@ -300,40 +277,10 @@ def is_quasi_elementary(
         condition_iii=cond_iii,
         condition_iv=cond_iv,
         condition_v=cond_v,
-        minimal_eff_face_dim=min_face.cone.dim,
+        minimal_eff_face_dim=min_face.dim,
         contracted_curves_dim=me_f.dim,
+        eff_face=eff_slice,
     )
-
-
-def find_quasi_elementary(
-    atlas: ChamberAtlas, r: int
-) -> list[RationalContractionDescriptor]:
-    """All chamber-fan cones of dimension r giving quasi-elementary
-    contractions, via the face-pair criterion: an r-dimensional face of the
-    movable cone inside an r-dimensional face of the effective cone."""
-    rho = atlas.fan.rho
-    if not 1 <= r <= rho - 1:
-        raise ValidationError(f"rank {r} out of range 1..{rho - 1}")
-    inv = atlas.inventory
-    eff_faces = [f.cone for f in inv.eff.faces_of_dim(r)]
-    mov_faces = [f.cone for f in inv.mov.faces_of_dim(r)]
-    hits: list[PolyCone] = []
-    for mf in mov_faces:
-        if any(ef.contains_cone(mf) for ef in eff_faces):
-            hits.append(mf)
-    out: dict[tuple, RationalContractionDescriptor] = {}
-    if hits:
-        for desc in rational_contractions(atlas):
-            if desc.target_rho != r:
-                continue
-            if any(mf.contains_cone(desc.sigma) for mf in hits):
-                qe = is_quasi_elementary(atlas, desc)
-                if not qe.verdict:
-                    raise InternalError(
-                        "face-pair criterion hit a non-quasi-elementary cone"
-                    )
-                out[desc.sigma.generators] = desc
-    return [out[k] for k in sorted(out)]
 
 
 def nonmovable_prime_divisors(fan: Fan) -> list[tuple[int, Vec]]:
@@ -384,7 +331,6 @@ class TargetModel:
     indices (None for rays collapsed by the contraction).
     """
 
-    source: Fan
     fan: Fan
     pullback: tuple[Vec, ...]
     ray_map: tuple[int | None, ...]
@@ -515,7 +461,6 @@ def target_model(
             raise InternalError("pullback does not factor through target classes")
         f_rows.append(tuple(sol))
     tm = TargetModel(
-        source=atlas.fan,
         fan=y_fan,
         pullback=tuple(f_rows),
         ray_map=tuple(ray_map),
@@ -532,10 +477,7 @@ def target_model(
         atlas.fan.rho,
         [primitive_fraction(tm.pull_class(g)) for g in y_dd.eff_cone.generators],
     )
-    flat = PolyCone.from_inequalities(
-        atlas.fan.rho, [], equations=_span_equations(desc.sigma)
-    )
-    if eff_img != atlas.inventory.eff.intersect(flat):
+    if eff_img != qe.eff_face:
         raise InternalError(
             "pullback of the target effective cone is not the effective face"
         )
@@ -552,7 +494,9 @@ def compose_quasi_elementary(
 
     g_atlas must be the chamber atlas of f's target model (as produced by
     target_model); g may also be the identity cone (the target's full nef
-    chamber), in which case the composite is f itself.
+    chamber), in which case the composite is f itself. The composite's
+    descriptor is the chamber-fan cone of rational_contractions(atlas) that
+    the pulled-back sigma of g equals.
     """
     tm = target_model(atlas, f_desc)
     if g_atlas.fan.key() != tm.fan.key():
@@ -566,7 +510,11 @@ def compose_quasi_elementary(
         primitive_fraction(tm.pull_class(g)) for g in g_desc.sigma.generators
     ]
     sigma = PolyCone.from_generators(atlas.fan.rho, gens)
-    desc = describe_face(atlas, sigma)
+    desc = next(
+        (d for d in rational_contractions(atlas) if d.sigma == sigma), None
+    )
+    if desc is None:
+        raise InternalError("composite contraction is not a chamber-fan cone")
     qe = is_quasi_elementary(atlas, desc)
     if not qe.verdict:
         raise InternalError("composite contraction is not quasi-elementary")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from toricmds import catalog, cli, fano
+from toricmds import catalog, cli, fan as F, fano
 
 
 def run_ok(capsys, argv):
@@ -111,6 +111,16 @@ def test_mmp_interactive_reads_stdin(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 1
     assert "error: input ended" in err and "Traceback" not in err
+    # the dialogue goes to stderr, so --json stdout stays one JSON document
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
+    code = cli.run([
+        "mmp", "catalog:blpt-p1x4",
+        "--divisor=0,0,0,0,0,0,0,0,1", "--strategy", "interactive", "--json",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["outcome"] == "semiample"
+    assert "candidate rays:" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -193,6 +203,41 @@ def test_overlapping_fan_file_exit_two(capsys, tmp_path, rays, cones):
     assert cli.run(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip()
+
+
+# The cone over the non-regular "mother of all examples" triangulation,
+# closed by one ray below: a complete simplicial fan with no ample class.
+NON_PROJECTIVE_FAN = (
+    "fan mother dim 3\n"
+    + "".join(f"ray {x} {y} {z}\n" for x, y, z in [
+        (-18, -12, 1), (18, -12, 1), (0, 24, 1), (-6, -4, 1), (6, -4, 1),
+        (0, 8, 1), (0, 0, -1),
+    ])
+    + "".join(f"cone {a} {b} {c}\n" for a, b, c in [
+        (0, 1, 3), (0, 2, 5), (0, 3, 5), (1, 2, 4), (1, 3, 4), (2, 4, 5),
+        (3, 4, 5), (6, 0, 1), (6, 1, 2), (6, 0, 2),
+    ])
+)
+
+
+def test_non_projective_fan(capsys, tmp_path):
+    path = tmp_path / "mother.fan"
+    path.write_text(NON_PROJECTIVE_FAN)
+    _, fan = catalog.parse_fan_text(NON_PROJECTIVE_FAN)
+    assert F.data(fan).is_projective is False
+    assert F.data(fan).ample_class is None
+    for argv in (
+        ["analyze", str(path)],
+        ["analyze", str(path), "--json"],
+        ["chambers", str(path)],
+        ["classify", str(path)],
+        ["mmp", str(path), "--divisor=1,0,0,0,0,0,0"],
+    ):
+        assert cli.run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err, argv
+    out = run_ok(capsys, ["verify", str(path)])
+    assert "skipped (not smooth Fano 4-folds): mother" in out
 
 
 def test_instance_from_env_dir(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricmds import linalg, lp
-from toricmds.cones import PolyCone, star_face
+from toricmds.cones import PolyCone
 from toricmds.errors import ValidationError
 
 coord = st.integers(min_value=-4, max_value=4)
@@ -90,22 +90,20 @@ def test_faces_of_cone_over_square():
     faces = c.all_faces()
     by_dim = {}
     for f in faces:
-        by_dim.setdefault(f.cone.dim, []).append(f)
+        by_dim.setdefault(f.dim, []).append(f)
     assert {k: len(v) for k, v in sorted(by_dim.items())} == {
         0: 1, 1: 4, 2: 4, 3: 1
     }
-    assert len(c.faces_of_dim(2)) == 4
-    for f in c.faces_of_dim(2):
-        assert c.is_face(f.cone)
-        assert len(f.active_normals) == 1
+    for f in faces:
+        assert c.is_face(f)
 
 
 def test_minimal_face_containing():
     c = PolyCone.from_generators(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     f = c.minimal_face_containing([(1, 0, 0), (0, 2, 0)])
-    assert f.cone.generators == ((0, 1, 0), (1, 0, 0))
-    top = c.minimal_face_containing([(1, 1, 1)])
-    assert top.cone == c
+    assert f == PolyCone.from_generators(3, [(1, 0, 0), (0, 1, 0)])
+    assert f.generators == ((0, 1, 0), (1, 0, 0))
+    assert c.minimal_face_containing([(1, 1, 1)]) == c
     with pytest.raises(ValidationError):
         c.minimal_face_containing([(-1, 0, 0)])
 
@@ -118,22 +116,6 @@ def test_is_face_rejects_non_faces():
     assert c.is_face(edge)
     assert c.is_face(PolyCone.zero(2))
     assert c.is_face(c)
-
-
-def test_star_face():
-    c = PolyCone.from_generators(
-        3, [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)]
-    )
-    edge = PolyCone.from_generators(3, [(1, 1, 1)])
-    s = star_face(c, edge)
-    # inclusion reversing: a ray of the 3-cone maps to a 2-face of the dual
-    assert s.dim == 2
-    assert c.dual().is_face(s)
-    assert all(linalg.dot(g, (1, 1, 1)) == 0 for g in s.generators)
-    assert star_face(c, c) == PolyCone.zero(3)
-    assert star_face(c, PolyCone.zero(3)) == c.dual()
-    with pytest.raises(ValidationError):
-        star_face(c, PolyCone.from_generators(3, [(1, 1, 2)]))
 
 
 def test_relative_interior_point():

@@ -307,8 +307,8 @@ def test_face_generator_sets_are_canonical_on_pointed_cones():
         3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]
     )
     faces = cone.all_faces()
-    assert [f.cone.generators for f in faces] == cone.face_generator_sets()
-    assert [f.cone for f in faces] == old_all_faces(cone)
+    assert [f.generators for f in faces] == cone.face_generator_sets()
+    assert faces == old_all_faces(cone)
 
 
 def test_rational_contractions_match_every_face_built(atlas_of, contractions_of):
