@@ -298,14 +298,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    targets: list[tuple[str, fanmod.Fan]] = []
+    if args.all_catalog == bool(args.instance):
+        raise UsageError("verify needs either an instance or --all-catalog")
     if args.all_catalog:
-        for name in catalogmod.names():
-            targets.append((name, catalogmod.get(name)))
-    elif args.instance:
-        targets.append(load_instance(args.instance))
+        targets = [(name, catalogmod.get(name)) for name in catalogmod.names()]
     else:
-        raise UsageError("verify needs an instance or --all-catalog")
+        targets = [load_instance(args.instance)]
     reports = {}
     skipped = []
     for name, fan in targets:

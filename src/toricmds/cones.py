@@ -140,6 +140,15 @@ def _vrep(dim: int, ineqs_in: Iterable[Sequence[int]]) -> tuple[list[Vec], list[
 
     The lineality basis is in canonical Hermite form; rays are primitive and
     sorted. With no inequalities the result is the whole space.
+
+    The cone is the lineality space plus its slice by the row space of the
+    inequalities, so the rays are computed in coordinates on any basis of
+    that row space: its Hermite form, or the unit vectors when the
+    inequalities have full rank. Mapped back, made primitive and sorted,
+    they do not depend on the basis chosen. The row space has dimension
+    dim - len(lin), and checking that the Hermite form has that many rows
+    compares two separate eliminations, that of the kernel and that of the
+    rows.
     """
     ineqs = _clean(ineqs_in)
     if not ineqs:
@@ -148,7 +157,7 @@ def _vrep(dim: int, ineqs_in: Iterable[Sequence[int]]) -> tuple[list[Vec], list[
     k = dim - len(lin)
     if k == 0:
         return lin, []
-    comp = linalg.integer_kernel(lin, dim) if lin else _identity(dim)
+    comp = linalg.hermite(ineqs) if lin else _identity(dim)
     if len(comp) != k:
         raise InternalError("complement basis has wrong size")
     proj = []

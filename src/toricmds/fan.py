@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from . import linalg, lp
 from .cones import PolyCone
 from .errors import InternalError, ValidationError
-from .linalg import Vec, dot, primitive
+from .linalg import Vec, dot, primitive, vneg
 
 
 @dataclass(frozen=True)
@@ -277,8 +277,20 @@ class FanData:
 
     @cached_property
     def walls(self) -> list[Wall]:
+        """Every wall, with its relation and curve class read off the lattice.
+
+        Let I be the wall's n+1 involved rays. Its curve pairs to zero with
+        D_j for every ray j outside I, and a class pairs with D_j through
+        ray_classes[j], column j of the class basis. So the curve class spans
+        the kernel of those rho - 1 columns. That kernel is one dimensional:
+        the basis maps it onto the relations supported on I, which are the
+        multiples of the wall's one circuit, since the n rays of each owner
+        are independent. Its saturated generator is the primitive class, and
+        its pairing vector is the relation. A basis of the saturated relation
+        lattice maps primitive classes to primitive relations, so a relation
+        with a common factor means the class basis is not saturated.
+        """
         fan = self.fan
-        n = fan.dim
         incidence = _wall_incidence(fan)
         out = []
         for facet in sorted(incidence):
@@ -289,29 +301,27 @@ class FanData:
                 next(iter(set(c) - set(facet))) for c in owners
             )
             involved = sorted(facet + tuple(extras))
-            cols = [fan.rays[i] for i in involved]
             ker = linalg.integer_kernel(
-                [[v[k] for v in cols] for k in range(n)], len(involved)
+                [c for j, c in enumerate(self.ray_classes) if j not in involved],
+                fan.rho,
             )
             if len(ker) != 1:
                 raise InternalError(f"wall {facet} has a degenerate relation")
-            rel = list(ker[0])
-            ia, ib = involved.index(extras[0]), involved.index(extras[1])
-            if rel[ia] < 0:
-                rel = [-x for x in rel]
-            if rel[ia] <= 0 or rel[ib] <= 0:
+            cls, rel = ker[0], self.pairing_vector(ker[0])
+            if rel[extras[0]] < 0:
+                cls, rel = vneg(cls), vneg(rel)
+            if rel[extras[0]] <= 0 or rel[extras[1]] <= 0:
                 raise ValidationError(
                     f"wall {facet}: opposite rays are not on opposite sides"
                 )
-            full = [0] * fan.n_rays
-            for idx, c in zip(involved, rel):
-                full[idx] = c
+            if primitive(rel) != rel:
+                raise InternalError("relation is not primitive in a saturated basis")
             out.append(
                 Wall(
                     shared=facet,
                     opposite=tuple(extras),  # type: ignore[arg-type]
-                    relation=tuple(zip(involved, rel)),
-                    curve_class=self.curve_class_from_pairing(tuple(full)),
+                    relation=tuple((j, rel[j]) for j in involved),
+                    curve_class=cls,
                 )
             )
         return out

@@ -719,10 +719,13 @@ def audit_bounds(fan: Fan) -> BoundsReport:
             continue
         if d.target_rho == rho - 1:
             elem_fiber.append(d)
-        if d.target_rho >= 1 and mdscones.is_quasi_elementary(atlas, d).verdict:
+        if d.target_rho < 1:
+            continue
+        qe = mdscones.is_quasi_elementary(atlas, d)
+        if qe.verdict:
             if not d.regular:
                 nonreg_qe.append(d)
-            qe_targets.append((d, mdscones.target_model(atlas, d)))
+            qe_targets.append((d, mdscones.target_model(atlas, qe)))
     curve_hits = [d for d, tm in qe_targets if not d.regular and tm.fan.dim == 1]
     surface_hits = [d for d, tm in qe_targets if not d.regular and tm.fan.dim == 2]
     reg_surface = [d for d, tm in qe_targets if d.regular and tm.fan.dim == 2]

@@ -9,8 +9,8 @@ the chambers by their position relative to the movable and effective cones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import fan as fanmod
@@ -90,8 +90,11 @@ def chamber_atlas(fan: Fan, cap: int = MAX_CHAMBERS) -> ChamberAtlas:
     Every facet of a chamber interior to the movable cone is shared with the
     flip across the corresponding small extremal ray; facets on the boundary
     of the movable cone are divisorial or fiber-type walls and are not
-    crossed.
+    crossed. The cap counts chambers, the nef chamber included, so it must
+    be at least 1.
     """
+    if cap < 1:
+        raise ValidationError(f"chamber cap must be at least 1, got {cap}")
     inv = cone_inventory(fan)
     chambers: list[Chamber] = [Chamber(0, fan, fanmod.data(fan).nef_cone)]
     seen: dict[tuple, int] = {fan.key(): 0}
@@ -215,13 +218,16 @@ def rational_contractions(
 
 @dataclass(frozen=True)
 class QuasiElementaryResult:
-    """Verdict and the three conditions behind it.
+    """Verdict and the three conditions behind it, for the cone of desc.
 
     eff_face is the slice of the effective cone by the span of sigma, the
     cone condition v tests; on a quasi-elementary cone it is the face of the
-    effective cone spanned by sigma.
+    effective cone spanned by sigma. target_model takes a result with a true
+    verdict, so its precondition is carried by the type and each face is
+    tested once.
     """
 
+    desc: RationalContractionDescriptor
     verdict: bool
     condition_iii: bool
     condition_iv: bool
@@ -273,6 +279,7 @@ def is_quasi_elementary(
             f"iii={cond_iii} iv={cond_iv} v={cond_v}"
         )
     return QuasiElementaryResult(
+        desc=desc,
         verdict=cond_iv,
         condition_iii=cond_iii,
         condition_iv=cond_iv,
@@ -339,22 +346,24 @@ class TargetModel:
         return tuple(dot(row, y_class) for row in self.pullback)
 
 
-def target_model(
-    atlas: ChamberAtlas, desc: RationalContractionDescriptor
-) -> TargetModel:
+def target_model(atlas: ChamberAtlas, qe: QuasiElementaryResult) -> TargetModel:
     """Construct the target fan of a quasi-elementary contraction.
 
-    Maximal cones of the host model are merged across the walls whose curve
-    class vanishes against sigma; each merged piece has a common lineality
-    space (the kernel of the lattice projection), and the quotient fan is the
-    target. The pullback matrix is computed from support functions of the
-    target's ray divisors and certified: it must carry the target's nef cone
-    exactly onto sigma and the target's effective cone onto the face of the
-    source effective cone spanned by sigma.
+    qe is the quasi-elementary test of the contraction's cone, with a true
+    verdict. Maximal cones of the host model are merged across the walls
+    whose curve class vanishes against sigma; each merged piece has a common
+    lineality space (the kernel of the lattice projection), and the quotient
+    fan is the target. The pullback is read off the ray images: the image of
+    source ray j is g_j times the primitive target ray ray_map[j], where g_j
+    is the gcd of the image, so the pullback of the target ray divisor E_r
+    has coefficient g_j on each source ray j with ray_map[j] == r and 0
+    elsewhere. It is certified: it must carry the target's nef cone exactly
+    onto sigma and the target's effective cone onto the face of the source
+    effective cone spanned by sigma.
     """
-    qe = is_quasi_elementary(atlas, desc)
     if not qe.verdict:
         raise ValidationError("target models need a quasi-elementary cone")
+    desc = qe.desc
     if desc.target_rho == 0:
         raise ValidationError("the contraction to a point has no fan model")
     model = atlas.chambers[desc.host_chamber].model
@@ -374,13 +383,13 @@ def target_model(
     for k, c in enumerate(cones):
         pieces.setdefault(uf.find(k), []).append(c)
 
-    piece_cones = []
+    piece_rays = []
     lineality: list[Vec] | None = None
     for root in sorted(pieces):
         members = pieces[root]
         rays = sorted({i for c in members for i in c})
         cone = PolyCone.from_generators(n, [model.rays[i] for i in rays])
-        piece_cones.append((cone, rays))
+        piece_rays.append(rays)
         if lineality is None:
             lineality = cone.lineality_basis()
         elif cone.lineality_basis() != lineality:
@@ -393,14 +402,13 @@ def target_model(
     proj = linalg.integer_kernel([list(v) for v in lineality], n)
     dim_y = len(proj)
 
-    def project(v: Sequence[int]) -> tuple:
-        return tuple(dot(w, v) for w in proj)
-
     ray_map: list[int | None] = []
+    weights: list[int] = []
     y_rays: list[Vec] = []
-    for j in range(model.n_rays):
-        img = project(model.rays[j])
-        if all(x == 0 for x in img):
+    for v in model.rays:
+        img = tuple(dot(w, v) for w in proj)
+        weights.append(math.gcd(*img))
+        if weights[-1] == 0:
             ray_map.append(None)
             continue
         img = primitive(img)
@@ -409,10 +417,10 @@ def target_model(
         else:
             ray_map.append(len(y_rays))
             y_rays.append(img)
-    y_cones = []
-    for cone, rays in piece_cones:
-        idxs = sorted({ray_map[i] for i in rays if ray_map[i] is not None})
-        y_cones.append(tuple(idxs))
+    y_cones = [
+        tuple(sorted({ray_map[i] for i in rays if ray_map[i] is not None}))
+        for rays in piece_rays
+    ]
     y_fan = fanmod.build_fan(dim_y, y_rays, y_cones)
     y_dd = fanmod.data(y_fan)
     rho_y = y_fan.rho
@@ -421,33 +429,10 @@ def target_model(
             f"target rank {rho_y} does not match the cone dimension {desc.sigma.dim}"
         )
 
-    # pullback coefficients of each target ray divisor via support functions:
-    # express the projection of every source ray in its target cone, then the
-    # coefficient for ray divisor rho is the barycentric weight of rho there
-    homes = []
-    for j in range(model.n_rays):
-        img = project(model.rays[j])
-        home = None
-        for c in y_fan.max_cones:
-            sol = linalg.solve(
-                [[y_fan.rays[i][k] for i in c] for k in range(dim_y)], img
-            )
-            if sol is not None and all(x >= 0 for x in sol):
-                home = (c, sol)
-                break
-        if home is None:
-            raise InternalError("projected ray escapes the target fan")
-        homes.append(home)
-    pull_coeff = []
-    for rho_idx in range(y_fan.n_rays):
-        coeffs = []
-        for c, sol in homes:
-            if rho_idx in c:
-                coeffs.append(sol[c.index(rho_idx)])
-            else:
-                coeffs.append(Fraction(0))
-        pull_coeff.append(tuple(coeffs))
-
+    pull_coeff = [
+        tuple(g if r == t else 0 for r, g in zip(ray_map, weights))
+        for t in range(y_fan.n_rays)
+    ]
     pull_classes = [dd.divisor_class(a) for a in pull_coeff]
     rows_y = [
         [y_dd.class_basis[l][j] for l in range(rho_y)]
@@ -498,7 +483,7 @@ def compose_quasi_elementary(
     descriptor is the chamber-fan cone of rational_contractions(atlas) that
     the pulled-back sigma of g equals.
     """
-    tm = target_model(atlas, f_desc)
+    tm = target_model(atlas, is_quasi_elementary(atlas, f_desc))
     if g_atlas.fan.key() != tm.fan.key():
         raise ValidationError("second contraction is not on the target model")
     identity = g_desc.sigma == fanmod.data(tm.fan).nef_cone

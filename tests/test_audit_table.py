@@ -117,7 +117,7 @@ def audit_bounds(fan: Fan) -> BoundsReport:
     qe_targets = {}
     for d, qe in qe_results.values():
         if qe.verdict:
-            qe_targets[d.sigma.generators] = (d, mdscones.target_model(atlas, d))
+            qe_targets[d.sigma.generators] = (d, mdscones.target_model(atlas, qe))
 
     curve_hits = []
     surface_hits = []

@@ -53,8 +53,17 @@ def test_chambers_dot_file(capsys, tmp_path):
 
 def test_chambers_cap_exit_code(capsys):
     code = cli.run(["chambers", "catalog:blpt-p1cubed", "--max", "2"])
-    capsys.readouterr()
+    err = capsys.readouterr().err
     assert code == 4
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_chambers_cap_below_one_rejected(capsys, cap):
+    # a cap below 1 leaves no room for the nef chamber itself
+    assert cli.run(["chambers", "catalog:blpt-p1cubed", f"--max={cap}"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_mmp_semiample_exit_zero(capsys, tmp_path):
@@ -277,6 +286,13 @@ def test_verify_skips_non_fano_fourfold(capsys):
 def test_verify_requires_instance_or_flag(capsys):
     assert cli.run(["verify"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("instance", ["catalog:p1x4", "catalog:nosuch"])
+def test_verify_rejects_instance_with_all_catalog(capsys, instance):
+    assert cli.run(["verify", instance, "--all-catalog"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_verify_alarm_exit_three(capsys, monkeypatch):

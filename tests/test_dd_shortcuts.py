@@ -1,10 +1,11 @@
 """Oracle tests for the shortcuts in the cone layer.
 
-Three shortcuts are compared with the slow paths they replaced, kept here
+Four shortcuts are compared with the slow paths they replaced, kept here
 verbatim: the rank test for adjacent rays in the double description, the
-second conversion that every PolyCone constructor used to run, and the two
+second conversion that every PolyCone constructor used to run, the two
 fresh conversions per face when rational_contractions walked every face of
-every chamber. Agreement must be exact, field for field.
+every chamber, and the second Hermite kernel that _vrep ran for the basis of
+the row space of its inequalities. Agreement must be exact, field for field.
 """
 
 from hypothesis import assume, example, given, settings
@@ -99,6 +100,32 @@ def old_vrep(dim, ineqs_in):
         proj.append(primitive(pa))
     proj = _clean(proj)
     rays_c = old_dd_pointed(k, proj)
+    rays = sorted(
+        primitive(tuple(sum(c[i] * comp[i][j] for i in range(k)) for j in range(dim)))
+        for c in rays_c
+    )
+    return lin, rays
+
+
+def kernel_complement_vrep(dim, ineqs_in):
+    ineqs = _clean(ineqs_in)
+    if not ineqs:
+        return cones._identity(dim), []
+    lin = linalg.integer_kernel(ineqs, dim)
+    k = dim - len(lin)
+    if k == 0:
+        return lin, []
+    comp = linalg.integer_kernel(lin, dim) if lin else cones._identity(dim)
+    if len(comp) != k:
+        raise InternalError("complement basis has wrong size")
+    proj = []
+    for a in ineqs:
+        pa = tuple(dot(a, w) for w in comp)
+        if is_zero(pa):
+            raise InternalError("inequality vanishes on the complement")
+        proj.append(primitive(pa))
+    proj = _clean(proj)
+    rays_c = cones._dd_pointed(k, proj)
     rays = sorted(
         primitive(tuple(sum(c[i] * comp[i][j] for i in range(k)) for j in range(dim)))
         for c in rays_c
@@ -218,6 +245,15 @@ def fields(cone):
 def test_vrep_matches_rank_adjacency(case):
     dim, vecs = case
     assert cones._vrep(dim, vecs) == old_vrep(dim, vecs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_sets())
+def test_vrep_matches_kernel_complement(case):
+    # the complement basis taken as the Hermite form of the inequalities, and
+    # as the kernel of the lineality basis, gives the same canonical rays
+    dim, vecs = case
+    assert cones._vrep(dim, vecs) == kernel_complement_vrep(dim, vecs)
 
 
 @st.composite

@@ -154,7 +154,7 @@ def test_quasi_elementary_search_on_line_power():
 def test_target_model_and_composition():
     atlas = M.chamber_atlas(catalog.get("p1x4"))
     f_desc = quasi_elementary_faces(atlas, 2)[0]
-    tm = M.target_model(atlas, f_desc)
+    tm = M.target_model(atlas, M.is_quasi_elementary(atlas, f_desc))
     assert tm.fan.dim == 2 and tm.fan.rho == 2
     assert F.is_projective(tm.fan)
     # pullback carries target nef classes into the source chamber cone
@@ -204,7 +204,7 @@ def test_target_model_rejects_point_target():
     qe = M.is_quasi_elementary(atlas, zero)
     assert qe.verdict
     with pytest.raises(ValidationError):
-        M.target_model(atlas, zero)
+        M.target_model(atlas, qe)
 
 
 def test_is_quasi_elementary_rejects_non_fiber():
