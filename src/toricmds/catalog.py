@@ -13,13 +13,11 @@ expected rank, smoothness, and Fano flags so audits can cross-check them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import fan as fanmod
-from . import mmp
 from .errors import ValidationError
 from .fan import Fan
 
@@ -89,11 +87,21 @@ def _blpt_p1x4() -> Fan:
     return fanmod.star_subdivision(x, (0, 2, 4, 6))
 
 
+# The maximal cones over the rays of blpt-p1x4 after flipping its four
+# anticanonically negative small rays: the end model of the "first" Mori
+# program for the anticanonical divisor, which the tests rerun as the oracle.
+_FANO_FLIP_CONES = (
+    (0, 2, 5, 7), (0, 2, 5, 8), (0, 2, 7, 8), (0, 3, 4, 7), (0, 3, 4, 8),
+    (0, 3, 5, 6), (0, 3, 5, 7), (0, 3, 6, 8), (0, 4, 7, 8), (0, 5, 6, 8),
+    (1, 2, 4, 7), (1, 2, 4, 8), (1, 2, 5, 6), (1, 2, 5, 7), (1, 2, 6, 8),
+    (1, 3, 4, 6), (1, 3, 4, 7), (1, 3, 5, 6), (1, 3, 5, 7), (1, 4, 6, 8),
+    (2, 4, 7, 8), (2, 5, 6, 8), (3, 4, 6, 8),
+)
+
+
 def _fano_flip_model() -> Fan:
-    """All four anticanonically negative small rays of the blown-up quadruple
-    line power, flipped: the program for the anticanonical divisor."""
-    res = mmp.run_mori_program(_blpt_p1x4(), [1] * 9, strategy="first")
-    return res.final
+    """The Fano small modification of the blown-up quadruple line power."""
+    return fanmod.build_fan(4, get("blpt-p1x4").rays, _FANO_FLIP_CONES)
 
 
 def _bl2pts_p3() -> Fan:
@@ -105,8 +113,7 @@ def _wps11112_blowup() -> Fan:
     return fanmod.star_subdivision(weighted_projective(1, 1, 1, 1, 2), (0, 1, 2, 3))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     build: Callable[[], Fan]
     description: str

@@ -6,7 +6,8 @@ catalog.parse_fan_text; bare names are also looked up as ``NAME.fan`` inside
 the directory named by the TORICMDS_CATALOG_DIR environment variable.
 
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 falsification
-alarm, 4 cap overflow, 5 fiber-type outcome from the mmp command.
+alarm, 4 cap overflow, 5 fiber-type outcome from the mmp command, 141
+(128 + SIGPIPE) when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import mmp
 from .errors import FalsificationAlarm, ToricError, UsageError, ValidationError
 
 EXIT_FIBER_TYPE = 5
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -441,7 +443,15 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
-    return run()
+    try:
+        code = run()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull, so the interpreter's
+        # final flush of what is left in its buffer cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -23,8 +23,7 @@ this is the geometry substrate the toric layers build on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import InternalError, ValidationError
@@ -203,8 +202,7 @@ def _extreme_inputs(inputs: list[Vec], dual_rays: list[Vec]) -> tuple[Vec, ...]:
     ))
 
 
-@dataclass(frozen=True)
-class PolyCone:
+class PolyCone(NamedTuple):
     """Convex rational polyhedral cone, canonical dual pair of descriptions.
 
     generators: extreme rays when pointed, plus opposite pairs spanning the

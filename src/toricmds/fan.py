@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg, lp
 from .cones import PolyCone
@@ -27,8 +26,7 @@ from .errors import InternalError, ValidationError
 from .linalg import Vec, dot, primitive, vneg
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Complete simplicial fan in Z^dim."""
 
     dim: int
@@ -215,8 +213,7 @@ def build_fan(
     )
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Codimension-one cone shared by two maximal cones.
 
     relation holds (ray index, coefficient) pairs over the n+1 involved rays,
@@ -245,8 +242,7 @@ class Wall:
         return sum(c for _, c in self.relation)
 
 
-@dataclass(frozen=True)
-class ExtremalRay:
+class ExtremalRay(NamedTuple):
     """One extremal ray of the cone of curves, with its sign pattern.
 
     cls is the primitive class generating the ray; pairing[j] is its

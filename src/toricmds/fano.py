@@ -12,8 +12,7 @@ conclusion is evaluated only when its hypothesis holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import fan as fanmod
 from . import linalg
@@ -26,8 +25,7 @@ from .linalg import Vec, dot, primitive
 
 # -- Picard codimension of a prime divisor -----------------------------------
 
-@dataclass(frozen=True)
-class DivisorProfile:
+class DivisorProfile(NamedTuple):
     """Curve-space data of one invariant prime divisor."""
 
     ray: int
@@ -82,8 +80,7 @@ def c_invariant(fan: Fan) -> tuple[int, int]:
 
 # -- exceptional planes and lines ---------------------------------------------
 
-@dataclass(frozen=True)
-class PlaneRecord:
+class PlaneRecord(NamedTuple):
     """A two-cone whose star is a plane with normal degree -1 twice."""
 
     tau: tuple[int, int]
@@ -92,8 +89,7 @@ class PlaneRecord:
     star_cones: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class LineRecord:
+class LineRecord(NamedTuple):
     """A wall curve with normal degree -1 three times."""
 
     shared: tuple[int, ...]
@@ -101,8 +97,7 @@ class LineRecord:
     cls: Vec
 
 
-@dataclass(frozen=True)
-class ExceptionalLocusReport:
+class ExceptionalLocusReport(NamedTuple):
     planes: tuple[PlaneRecord, ...]
     lines: tuple[LineRecord, ...]
     # disjoint[i][j] is True when plane i and line j share no cone
@@ -200,8 +195,7 @@ def detect_exceptional_loci(fan: Fan) -> ExceptionalLocusReport:
 
 # -- degree audit along a flip chain ------------------------------------------
 
-@dataclass(frozen=True)
-class FlipDegreeStep:
+class FlipDegreeStep(NamedTuple):
     step: int
     jminus: tuple[int, ...]
     jplus: tuple[int, ...]
@@ -211,8 +205,7 @@ class FlipDegreeStep:
     class_negation_ok: bool
 
 
-@dataclass(frozen=True)
-class DegreeAuditReport:
+class DegreeAuditReport(NamedTuple):
     curve_wall: tuple[int, ...]
     start_degree: int
     final_degree: int
@@ -354,8 +347,7 @@ def _audit_one_wall(fans: list[Fan], rays: list[ExtremalRay],
 
 # -- classification of non-movable prime divisors ------------------------------
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     ray: int
     tag: str
     flips: int
@@ -574,16 +566,14 @@ BOUND_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class TheoremRecord:
+class TheoremRecord(NamedTuple):
     name: str
     hypothesis_holds: bool
     conclusion_holds: bool | None
     details: str
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     rho: int
     c_value: int
     c_witness: int

@@ -10,8 +10,7 @@ the chambers by their position relative to the movable and effective cones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import fan as fanmod
 from . import linalg, mmp
@@ -23,8 +22,7 @@ from .linalg import Vec, dot, primitive, primitive_fraction
 MAX_CHAMBERS = 10000
 
 
-@dataclass(frozen=True)
-class ConeInventory:
+class ConeInventory(NamedTuple):
     """The five cones of the divisor/curve class calculus."""
 
     fan: Fan
@@ -56,15 +54,13 @@ def cone_inventory(fan: Fan) -> ConeInventory:
     return ConeInventory(fan, nef, mov, eff, ne, me)
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     index: int
     model: Fan
     cone: PolyCone
 
 
-@dataclass(frozen=True)
-class ChamberAdjacency:
+class ChamberAdjacency(NamedTuple):
     """Shared facet between two chambers, with the crossing wall data."""
 
     i: int
@@ -75,8 +71,7 @@ class ChamberAdjacency:
     jplus: tuple[int, ...]
 
 
-@dataclass
-class ChamberAtlas:
+class ChamberAtlas(NamedTuple):
     fan: Fan
     inventory: ConeInventory
     chambers: list[Chamber]
@@ -139,8 +134,7 @@ def chamber_atlas(fan: Fan, cap: int = MAX_CHAMBERS) -> ChamberAtlas:
     )
 
 
-@dataclass(frozen=True)
-class RationalContractionDescriptor:
+class RationalContractionDescriptor(NamedTuple):
     """One cone of the chamber fan, with its contraction classification.
 
     target_rho is the rank of the target's class lattice (= dim sigma).
@@ -216,8 +210,7 @@ def rational_contractions(
     return out
 
 
-@dataclass(frozen=True)
-class QuasiElementaryResult:
+class QuasiElementaryResult(NamedTuple):
     """Verdict and the three conditions behind it, for the cone of desc.
 
     eff_face is the slice of the effective cone by the span of sigma, the
@@ -329,8 +322,7 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-@dataclass(frozen=True)
-class TargetModel:
+class TargetModel(NamedTuple):
     """A fiber-type contraction target realized as a fan, with the pullback.
 
     pullback is a rho_X by rho_Y matrix sending target classes into the

@@ -22,9 +22,9 @@ chooser).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 from . import fan as fanmod
 from .errors import CapOverflowError, InternalError, ValidationError
@@ -142,8 +142,7 @@ def contract_divisorial(fan: Fan, ray: ExtremalRay) -> tuple[Fan, int]:
     return fanmod.build_fan(fan.dim, rays, cones, check="none"), j0
 
 
-@dataclass(frozen=True)
-class MoriStep:
+class MoriStep(NamedTuple):
     """One step of a program: which ray was chosen and what it did."""
 
     index: int
@@ -158,12 +157,16 @@ class MoriStep:
     removed_ray: int | None
     n_rays_after: int
     n_cones_after: int
-    tstar: Fraction | None = None
+    tstar: Fraction | None
 
 
-@dataclass
-class MoriResult:
-    """Outcome of a Mori program run."""
+class MoriResult(SimpleNamespace):
+    """Outcome of a Mori program run.
+
+    A keyword-built namespace rather than a named tuple, so a caller may
+    edit a field in place: the benchmark's oracle test does so to check
+    that a wrong outcome is caught.
+    """
 
     strategy: str
     seed: int | None
@@ -172,9 +175,9 @@ class MoriResult:
     divisor_start: tuple
     divisor_final: tuple
     outcome: str  # "semiample" or "fiber-type"
-    steps: list[MoriStep] = field(default_factory=list)
-    fiber_ray: ExtremalRay | None = None
-    removed_rays: list[int] = field(default_factory=list)
+    steps: list[MoriStep]
+    fiber_ray: ExtremalRay | None
+    removed_rays: list[int]
 
     @property
     def n_flips(self) -> int:
@@ -291,27 +294,26 @@ def run_mori_program(
     else:
         amp = None
     prev_t = Fraction(1)
+    div_start = div
+    steps: list[MoriStep] = []
+    removed_rays: list[int] = []
 
-    result = MoriResult(
-        strategy=strategy,
-        seed=seed if strategy == "random" else None,
-        start=fan,
-        final=fan,
-        divisor_start=div,
-        divisor_final=div,
-        outcome="semiample",
-    )
+    def result(outcome: str, fiber_ray: ExtremalRay | None) -> MoriResult:
+        return MoriResult(
+            strategy=strategy, seed=seed if strategy == "random" else None,
+            start=fan, final=current, divisor_start=div_start, divisor_final=div,
+            outcome=outcome, steps=steps, fiber_ray=fiber_ray,
+            removed_rays=removed_rays,
+        )
+
     current = fan
     while True:
         dd = fanmod.data(current)
         cls = dd.divisor_class(div)
         negative = _negative_rays(dd, cls)
         if not negative:
-            result.final = current
-            result.divisor_final = div
-            result.outcome = "semiample"
-            return result
-        if len(result.steps) >= max_steps:
+            return result("semiample", None)
+        if len(steps) >= max_steps:
             raise CapOverflowError(
                 f"Mori program exceeded {max_steps} steps"
             )
@@ -331,49 +333,24 @@ def run_mori_program(
                 raise ValidationError(f"chooser returned invalid index {idx}")
             ray = negative[idx]
 
-        degree = Fraction(dot(cls, ray.cls))
+        removed = None
         if ray.kind == "fiber":
-            result.steps.append(
-                MoriStep(
-                    index=len(result.steps),
-                    action="stop-fiber",
-                    kind=ray.kind,
-                    jminus=ray.jminus,
-                    jplus=ray.jplus,
-                    exc_dim=ray.exc_dim,
-                    image_dim=ray.image_dim,
-                    degree=degree,
-                    k_degree=ray.k_degree,
-                    removed_ray=None,
-                    n_rays_after=current.n_rays,
-                    n_cones_after=len(current.max_cones),
-                    tstar=tstar,
-                )
-            )
-            result.final = current
-            result.divisor_final = div
-            result.outcome = "fiber-type"
-            result.fiber_ray = ray
-            return result
-        if ray.kind == "small":
-            nxt = flip(current, ray)
-            removed = None
+            action, nxt = "stop-fiber", current
+        elif ray.kind == "small":
+            action, nxt = "flip", flip(current, ray)
         else:
+            action = "contract"
             nxt, removed = contract_divisorial(current, ray)
-            div = _drop(div, removed)
-            if amp is not None:
-                amp = _drop(amp, removed)
-            result.removed_rays.append(removed)
-        result.steps.append(
+        steps.append(
             MoriStep(
-                index=len(result.steps),
-                action="flip" if removed is None else "contract",
+                index=len(steps),
+                action=action,
                 kind=ray.kind,
                 jminus=ray.jminus,
                 jplus=ray.jplus,
                 exc_dim=ray.exc_dim,
                 image_dim=ray.image_dim,
-                degree=degree,
+                degree=Fraction(dot(cls, ray.cls)),
                 k_degree=ray.k_degree,
                 removed_ray=removed,
                 n_rays_after=nxt.n_rays,
@@ -381,6 +358,13 @@ def run_mori_program(
                 tstar=tstar,
             )
         )
+        if ray.kind == "fiber":
+            return result("fiber-type", ray)
+        if removed is not None:
+            div = _drop(div, removed)
+            if amp is not None:
+                amp = _drop(amp, removed)
+            removed_rays.append(removed)
         current = nxt
 
 

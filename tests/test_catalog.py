@@ -1,6 +1,6 @@
 import pytest
 
-from toricmds import catalog, fan as F, fano
+from toricmds import catalog, fan as F, fano, mmp
 from toricmds.errors import ValidationError
 
 
@@ -55,6 +55,11 @@ def test_flip_model_facts():
     assert len(bl.max_cones) == 19 and len(model.max_cones) == 23
     assert not F.is_fano(bl)
     assert F.is_fano(model) and F.is_smooth(model)
+    # The catalog states the model's cones; the anticanonical program derives
+    # them. Fans compare field by field, so rays and max_cones must match in
+    # order, not only as a cone set as fans_equal checks.
+    program = mmp.run_mori_program(bl, [1] * 9, strategy="first")
+    assert model == program.final
 
 
 def test_weighted_projective_charts():

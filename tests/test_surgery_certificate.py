@@ -7,7 +7,6 @@ that was skipped, and must come back with the same key; the negative cases
 show the certificate rejects rays that do not belong to the fan.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -88,7 +87,7 @@ def perturbed(ray):
     j = ray.jplus[0]
     pairing = list(ray.pairing)
     pairing[j] *= 2
-    return dataclasses.replace(ray, pairing=tuple(pairing))
+    return ray._replace(pairing=tuple(pairing))
 
 
 def test_flip_rejects_a_pairing_that_is_not_a_relation():
@@ -125,12 +124,12 @@ def test_surgery_rejects_a_ray_of_another_fan():
 def test_surgery_rejects_circuit_sides_that_do_not_fit_the_pairing():
     bl = catalog.get("blpt-p1x4")
     ray = rays_of(bl, "small")[0]
-    swapped = dataclasses.replace(ray, jminus=ray.jplus, jplus=ray.jminus)
+    swapped = ray._replace(jminus=ray.jplus, jplus=ray.jminus)
     with pytest.raises(InternalError):
         mmp.flip(bl, swapped)
     div = rays_of(bl, "divisorial")[0]
     with pytest.raises(InternalError):
-        mmp.flip(bl, dataclasses.replace(div, kind="small"))
+        mmp.flip(bl, div._replace(kind="small"))
 
 
 def test_surgery_rejects_an_incomplete_star():
