@@ -29,7 +29,6 @@ from .fan import (
 from .fano import (
     BoundsReport,
     ClassificationResult,
-    DegreeAuditReport,
     DivisorProfile,
     ExceptionalLocusReport,
     audit_bounds,
@@ -38,7 +37,6 @@ from .fano import (
     detect_exceptional_loci,
     divisor_profiles,
     n1_dimension,
-    sqm_degree_audit,
 )
 from .mdscones import (
     ChamberAtlas,
@@ -67,7 +65,6 @@ __all__ = [
     "ClassificationResult",
     "BoundsReport",
     "ConeInventory",
-    "DegreeAuditReport",
     "DivisorProfile",
     "ExceptionalLocusReport",
     "ExtremalRay",
@@ -102,7 +99,6 @@ __all__ = [
     "product",
     "rational_contractions",
     "run_mori_program",
-    "sqm_degree_audit",
     "star_subdivision",
     "target_model",
     "trace_text",

@@ -260,10 +260,6 @@ class ExtremalRay(NamedTuple):
     k_degree: int
     sort_key: tuple
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.jminus + self.jplus))
-
 
 class FanData:
     """Derived data for one fan, computed lazily and cached per fan key."""
@@ -339,20 +335,6 @@ class FanData:
                 f"divisor needs {self.fan.n_rays} coefficients, got {len(coeffs)}"
             )
         return tuple(dot(row, coeffs) for row in self.class_basis)
-
-    def curve_class_from_pairing(self, pairing: Sequence[int]) -> Vec:
-        """Coordinates of a relation vector in the canonical basis."""
-        b = self.class_basis
-        rows = [[b[k][j] for k in range(len(b))] for j in range(self.fan.n_rays)]
-        sol = linalg.solve(rows, list(pairing))
-        if sol is None:
-            raise InternalError("pairing vector is not a ray relation")
-        out = []
-        for x in sol:
-            if x.denominator != 1:
-                raise InternalError("relation is not integral in a saturated basis")
-            out.append(int(x))
-        return tuple(out)
 
     def pairing_vector(self, curve: Sequence) -> tuple:
         """Intersection numbers of a curve class with every ray divisor."""

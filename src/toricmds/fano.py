@@ -2,10 +2,9 @@
 
 The module computes the divisor codimension invariant (the largest
 codimension of the curve space of a prime invariant divisor), detects
-exceptional planes and lines, audits anticanonical degrees along flip
-chains through a common resolution, classifies non-movable prime
-divisors by their terminal divisorial contraction, and checks a battery
-of Picard-number bound predicates on any smooth Fano fourfold instance.
+exceptional planes and lines, classifies non-movable prime divisors by
+their terminal divisorial contraction, and checks a battery of
+Picard-number bound predicates on any smooth Fano fourfold instance.
 The bound audit is a table of ten records built by one rule: a record's
 conclusion is evaluated only when its hypothesis holds.
 """
@@ -19,7 +18,7 @@ from . import linalg
 from . import mdscones
 from . import mmp
 from .errors import FalsificationAlarm, InternalError, ValidationError
-from .fan import ExtremalRay, Fan, Wall
+from .fan import ExtremalRay, Fan
 from .linalg import Vec, dot, primitive
 
 
@@ -193,26 +192,7 @@ def detect_exceptional_loci(fan: Fan) -> ExceptionalLocusReport:
     )
 
 
-# -- degree audit along a flip chain ------------------------------------------
-
-class FlipDegreeStep(NamedTuple):
-    step: int
-    jminus: tuple[int, ...]
-    jplus: tuple[int, ...]
-    incidence: int
-    degree_before: int
-    degree_after: int
-    class_negation_ok: bool
-
-
-class DegreeAuditReport(NamedTuple):
-    curve_wall: tuple[int, ...]
-    start_degree: int
-    final_degree: int
-    steps: tuple[FlipDegreeStep, ...]
-    incidence_total: int
-    identity_ok: bool
-
+# -- replaying a flip chain ----------------------------------------------------
 
 def _match_ray(fan: Fan, jminus: Sequence[int], jplus: Sequence[int]) -> ExtremalRay:
     jm, jp = tuple(jminus), tuple(jplus)
@@ -240,109 +220,6 @@ def rebuild_flip_chain(result: mmp.MoriResult) -> tuple[list[Fan], list[Extremal
     if not fanmod.fans_equal(fans[-1], result.final):
         raise InternalError("replayed flip chain does not reach the final model")
     return fans, rays
-
-
-def _wall_by_shared(fan: Fan, shared: tuple[int, ...]) -> Wall | None:
-    for w in fanmod.walls(fan):
-        if w.shared == shared:
-            return w
-    return None
-
-
-def _resolution(down: Fan, up: Fan, ray: ExtremalRay) -> Fan:
-    """Common star subdivision of the two sides of one flip."""
-    z = [0] * down.dim
-    for j in ray.jplus:
-        z = [a + ray.pairing[j] * b for a, b in zip(z, down.rays[j])]
-    z = primitive(z)
-    hat_down = fanmod.star_subdivision(down, ray.jminus, z)
-    hat_up = fanmod.star_subdivision(up, ray.jplus, z)
-    if not fanmod.fans_equal(hat_down, hat_up):
-        raise InternalError("flip sides disagree on the common resolution")
-    return hat_down
-
-
-def sqm_degree_audit(result: mmp.MoriResult, curve_class: Sequence) -> DegreeAuditReport:
-    """Track a wall curve of the final model backward through a flip chain.
-
-    For each flip the curve's transform is lifted to the common resolution
-    of the two sides; the coefficient of the inserted ray there counts the
-    incidences with the flipped locus, and the anticanonical degrees on the
-    two sides must differ by exactly that count times the center codimension
-    gap. A curve that meets no flipped locus keeps its degree. Raises when
-    the transform is not trackable (the curve lies in a flipped locus).
-    """
-    fans, rays = rebuild_flip_chain(result)
-    final = fans[-1]
-    cls = primitive(tuple(int(x) for x in curve_class))
-    candidates = [w for w in fanmod.walls(final) if w.curve_class == cls]
-    if not candidates:
-        raise ValidationError("curve class is not a wall class of the final model")
-    last_error: ValidationError | None = None
-    for wall in candidates:
-        try:
-            return _audit_one_wall(fans, rays, wall)
-        except ValidationError as exc:
-            last_error = exc
-    assert last_error is not None
-    raise last_error
-
-
-def _audit_one_wall(fans: list[Fan], rays: list[ExtremalRay],
-                    wall: Wall) -> DegreeAuditReport:
-    shared = wall.shared
-    degrees = [None] * len(fans)
-    degrees[-1] = wall.anticanonical_degree
-    steps = []
-    total = 0
-    identity_ok = True
-    for i in range(len(rays) - 1, -1, -1):
-        ray = rays[i]
-        hat = _resolution(fans[i], fans[i + 1], ray)
-        z_index = hat.n_rays - 1
-        hat_wall = _wall_by_shared(hat, shared)
-        if hat_wall is None:
-            raise ValidationError(
-                "curve transform lies in the flipped locus at step "
-                f"{i} and cannot be tracked"
-            )
-        s = hat_wall.coefficient(z_index)
-        down_wall = _wall_by_shared(fans[i], shared)
-        if down_wall is None:
-            raise InternalError("tracked wall missing below the resolution")
-        up_wall = _wall_by_shared(fans[i + 1], shared)
-        if up_wall is None:
-            raise InternalError("tracked wall missing above the resolution")
-        degrees[i] = down_wall.anticanonical_degree
-        gap = len(ray.jplus) - len(ray.jminus)
-        if up_wall.anticanonical_degree != down_wall.anticanonical_degree + gap * s:
-            identity_ok = False
-        # the flipped circuit reverses sign, so every divisor pairing flips
-        partner = _match_ray(fans[i + 1], ray.jplus, ray.jminus)
-        negation = partner.cls == tuple(-x for x in ray.cls) and (
-            partner.pairing == tuple(-x for x in ray.pairing)
-        )
-        total += s
-        steps.append(
-            FlipDegreeStep(
-                step=i,
-                jminus=ray.jminus,
-                jplus=ray.jplus,
-                incidence=s,
-                degree_before=down_wall.anticanonical_degree,
-                degree_after=up_wall.anticanonical_degree,
-                class_negation_ok=negation,
-            )
-        )
-    steps.reverse()
-    return DegreeAuditReport(
-        curve_wall=shared,
-        start_degree=degrees[0],
-        final_degree=degrees[-1],
-        steps=tuple(steps),
-        incidence_total=total,
-        identity_ok=identity_ok and all(st.class_negation_ok for st in steps),
-    )
 
 
 # -- classification of non-movable prime divisors ------------------------------

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 from . import fan as fanmod
 from .errors import CapOverflowError, InternalError, ValidationError
 from .fan import ExtremalRay, Fan
-from .linalg import dot, primitive
+from .linalg import dot
 
 MAX_MORI_STEPS = 1000
 
@@ -192,15 +192,6 @@ def _drop(vec: Sequence, idx: int) -> tuple:
     return tuple(v for k, v in enumerate(vec) if k != idx)
 
 
-def _negative_rays(dd: fanmod.FanData, div_class: Sequence) -> list[ExtremalRay]:
-    return [e for e in dd.extremal_rays if dot(div_class, e.cls) < 0]
-
-
-def negative_extremal_rays(fan: Fan, divisor: Sequence) -> list[ExtremalRay]:
-    dd = fanmod.data(fan)
-    return _negative_rays(dd, dd.divisor_class(divisor))
-
-
 def is_nef(fan: Fan, divisor: Sequence) -> bool:
     dd = fanmod.data(fan)
     cls = dd.divisor_class(divisor)
@@ -310,7 +301,7 @@ def run_mori_program(
     while True:
         dd = fanmod.data(current)
         cls = dd.divisor_class(div)
-        negative = _negative_rays(dd, cls)
+        negative = [e for e in dd.extremal_rays if dot(cls, e.cls) < 0]
         if not negative:
             return result("semiample", None)
         if len(steps) >= max_steps:
@@ -402,59 +393,6 @@ def trace_text(result: MoriResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def lift_pairing(result: MoriResult, pairing: Sequence) -> tuple:
-    """Transport a curve's ray-pairing vector from the final model back to the
-    start.
-
-    Flips identify the curve lattices, so only divisorial steps act: a curve
-    missing the contracted center lifts with intersection zero against the
-    removed ray.
-    """
-    vec = list(pairing)
-    for removed in reversed(result.removed_rays):
-        vec.insert(removed, 0)
-    if len(vec) != result.start.n_rays:
-        raise InternalError("lifted pairing has the wrong length")
-    return tuple(vec)
-
-
 def divisor_in_effective_cone(fan: Fan, divisor: Sequence) -> bool:
     dd = fanmod.data(fan)
     return dd.eff_cone.contains_point(dd.divisor_class(divisor))
-
-
-def me_extremal_covering_class(fan: Fan, me_class: Sequence) -> tuple:
-    """Covering-curve certificate for an extreme ray of the dual of the
-    effective cone.
-
-    Builds a divisor just outside the facet of the effective cone dual to the
-    given ray, runs the scaling program, and transports the resulting fiber
-    curve class back. Returns (class on the input fan, program result); the
-    class is asserted to generate the requested ray.
-    """
-    dd = fanmod.data(fan)
-    m = primitive(tuple(int(x) for x in me_class))
-    me = dd.eff_cone.dual()
-    if m not in me.generators:
-        raise ValidationError(f"{m} is not an extreme ray of the mobile dual cone")
-    on_facet = [
-        j for j in range(fan.n_rays) if dot(dd.ray_classes[j], m) == 0
-    ]
-    if not on_facet:
-        raise InternalError("dual facet carries no ray classes")
-    amp = default_ample(fan)
-    div = tuple(
-        (1 if j in set(on_facet) else 0) - a for j, a in enumerate(amp)
-    )
-    res = run_mori_program(fan, div, strategy="scaling", ample=amp)
-    if res.outcome != "fiber-type" or res.fiber_ray is None:
-        raise InternalError(
-            "covering-family program did not end in a fiber-type ray"
-        )
-    lifted = lift_pairing(res, res.fiber_ray.pairing)
-    cls = primitive(dd.curve_class_from_pairing(lifted))
-    if cls != m:
-        raise InternalError(
-            f"transported fiber class {cls} is not the requested ray {m}"
-        )
-    return cls, res

@@ -28,6 +28,15 @@ def test_import_loads_no_dataclass_machinery():
     assert proc.stdout == "[]\n"
 
 
+def test_star_import_resolves_every_exported_name():
+    proc = fresh(
+        ["-c", "from toricmds import *; import toricmds; "
+         "print([n for n in toricmds.__all__ if n not in globals()])"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
 def test_main_module_prints_what_run_prints(capsys):
     assert cli.run(["list-catalog"]) == 0
     expected = capsys.readouterr().out

@@ -137,11 +137,6 @@ def test_blowup_extremal_rays():
     assert not [e for e in ers if e.kind == "fiber"]
 
 
-def test_extremal_support_property():
-    for e in F.extremal_rays(hirzebruch(1)):
-        assert e.support == tuple(sorted(e.jminus + e.jplus))
-
-
 def test_divisor_class_and_pairing():
     p2 = build_p2()
     assert p2.rho == 1

@@ -113,77 +113,25 @@ def test_disjointness_on_mixed_models(atlas_of):
     assert both >= 3
 
 
-def test_degree_audit_statistics():
-    res = anticanonical_chain()
-    assert res.n_flips == 4
-    stats = {"tracked": 0, "untrackable": 0, "with_incidence": 0, "flat": 0}
-    for w in F.walls(res.final):
-        try:
-            rpt = fano.sqm_degree_audit(res, w.curve_class)
-        except ValidationError:
-            stats["untrackable"] += 1
-            continue
-        stats["tracked"] += 1
-        assert rpt.identity_ok, w.shared
-        if rpt.incidence_total:
-            stats["with_incidence"] += 1
-            assert rpt.start_degree == 2 and rpt.final_degree == 1
-            assert rpt.incidence_total == 1
-        else:
-            stats["flat"] += 1
-            assert rpt.start_degree == rpt.final_degree
-    assert stats == {
-        "tracked": 34, "untrackable": 12, "with_incidence": 18, "flat": 16
-    }
-
-
-def test_degree_audit_step_records():
-    res = anticanonical_chain()
-    hit = None
-    for w in F.walls(res.final):
-        try:
-            rpt = fano.sqm_degree_audit(res, w.curve_class)
-        except ValidationError:
-            continue
-        if rpt.incidence_total:
-            hit = rpt
-            break
-    assert hit is not None
-    assert len(hit.steps) == 4
-    for s in hit.steps:
-        assert s.class_negation_ok
-        assert s.degree_after == s.degree_before + s.incidence * (
-            len(s.jplus) - len(s.jminus)
-        )
-
-
-def test_degree_audit_flipping_curves_untrackable():
-    res = anticanonical_chain()
-    rep = fano.detect_exceptional_loci(res.final)
-    outside_tracked = 0
-    for p in rep.planes:
-        try:
-            fano.sqm_degree_audit(res, p.line_class)
-        except ValidationError:
-            assert 8 in p.tau, p.tau
-            continue
-        assert 8 not in p.tau, p.tau
-        outside_tracked += 1
-    assert outside_tracked == 6
-
-
-def test_degree_audit_rejects_unknown_class():
-    res = anticanonical_chain()
-    with pytest.raises(ValidationError):
-        fano.sqm_degree_audit(res, [7, 5, 3, 2, 11])
-
-
 def test_rebuild_flip_chain():
     res = anticanonical_chain()
     fans, rays = fano.rebuild_flip_chain(res)
     assert len(fans) == 5 and len(rays) == 4
     assert F.fans_equal(fans[0], res.start)
     assert F.fans_equal(fans[-1], res.final)
+    # Both sides of a flip are star subdivided to one common fan at the ray
+    # sum(pairing[j] * v_j for j in J+), and the flipped ray's class negates.
+    for down, up, ray in zip(fans, fans[1:], rays):
+        z = [0] * down.dim
+        for j in ray.jplus:
+            z = [a + ray.pairing[j] * b for a, b in zip(z, down.rays[j])]
+        assert F.fans_equal(
+            F.star_subdivision(down, ray.jminus, z),
+            F.star_subdivision(up, ray.jplus, z),
+        )
+        partner = next(r for r in F.extremal_rays(up)
+                       if (r.jminus, r.jplus) == (ray.jplus, ray.jminus))
+        assert partner.cls == tuple(-x for x in ray.cls)
 
 
 def test_flip_drops_divisor_curve_rank_by_at_most_one():

@@ -3,7 +3,8 @@
 FanData.walls takes each wall's curve class from one kernel in the class
 lattice, and target_model reads each pullback coefficient off the gcd of a
 ray image. The slow paths they replaced are kept here verbatim: the relation
-kernel over the involved rays followed by a solve in the class basis, and the
+kernel over the involved rays followed by a solve in the class basis (the
+former FanData.curve_class_from_pairing, kept here as part of it), and the
 search for a target cone holding each projected ray. The old target_model
 takes the result of the quasi-elementary test instead of rerunning it, as the
 new one does; the rest of it is verbatim. Agreement must be exact, field for
@@ -23,6 +24,21 @@ from toricmds.linalg import dot, primitive, primitive_fraction
 from toricmds.mdscones import TargetModel, _UnionFind
 
 # -- the slow paths ------------------------------------------------------------
+
+
+def old_curve_class_from_pairing(self, pairing):
+    """Coordinates of a relation vector in the canonical basis."""
+    b = self.class_basis
+    rows = [[b[k][j] for k in range(len(b))] for j in range(self.fan.n_rays)]
+    sol = linalg.solve(rows, list(pairing))
+    if sol is None:
+        raise InternalError("pairing vector is not a ray relation")
+    out = []
+    for x in sol:
+        if x.denominator != 1:
+            raise InternalError("relation is not integral in a saturated basis")
+        out.append(int(x))
+    return tuple(out)
 
 
 def old_walls(self):
@@ -60,7 +76,7 @@ def old_walls(self):
                 shared=facet,
                 opposite=tuple(extras),  # type: ignore[arg-type]
                 relation=tuple(zip(involved, rel)),
-                curve_class=self.curve_class_from_pairing(tuple(full)),
+                curve_class=old_curve_class_from_pairing(self, tuple(full)),
             )
         )
     return out

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from toricmds import catalog, fan as F, mmp
@@ -197,34 +195,9 @@ def test_scaling_rejects_non_ample():
                              ample=exc_divisor(bl))
 
 
-def test_lift_pairing_tracks_removed_rays():
-    fm = catalog.get("fano-flip-model")
-    res = mmp.run_mori_program(fm, exc_divisor(fm), strategy="first")
-    lifted = mmp.lift_pairing(res, [Fraction(1)] * res.final.n_rays)
-    assert len(lifted) == fm.n_rays
-
-
 def test_effective_membership_brute():
     p2 = catalog.get("p2")
     assert mmp.divisor_in_effective_cone(p2, [1, 2, 0])
     assert not mmp.divisor_in_effective_cone(p2, [-1, 0, 0])
     bl = catalog.get("blpt-p1x4")
     assert mmp.divisor_in_effective_cone(bl, exc_divisor(bl))
-
-
-def test_covering_classes_on_quadric_surface():
-    p11 = catalog.get("p1xp1")
-    me = F.data(p11).eff_cone.dual()
-    assert len(me.generators) == 2
-    for g in me.generators:
-        cls, res = mmp.me_extremal_covering_class(p11, g)
-        assert cls == g
-        assert res.outcome == "fiber-type"
-
-
-def test_negative_extremal_rays():
-    bl = catalog.get("blpt-p1x4")
-    neg = mmp.negative_extremal_rays(bl, exc_divisor(bl))
-    assert [e.kind for e in neg] == ["divisorial"]
-    neg_k = mmp.negative_extremal_rays(bl, [-1] * 9)
-    assert len(neg_k) >= 1
