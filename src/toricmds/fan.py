@@ -145,8 +145,9 @@ def build_fan(
     mmp.contract_divisorial check the circuit relation and the shape of the
     star; star_subdivision checks that the new ray is a new ray strictly
     inside the subdivided cone). Everything else, user-supplied fans,
-    products and the fans built by target_model or coordinate_factors,
-    keeps the default check, because no local argument covers them.
+    products, the fans built by target_model and the factor fans of the
+    surface product split, keeps the default check, because no local
+    argument covers them.
     """
     if check not in ("none", "full"):
         raise ValidationError(f"unknown check level {check!r}")

@@ -368,63 +368,46 @@ def classify_nonmovable_divisor(
 
 # -- product splitting ---------------------------------------------------------
 
-def coordinate_factors(fan: Fan) -> list[tuple[tuple[int, ...], Fan, tuple[int, ...]]]:
-    """Split a fan into coordinate-block factors when it is a product.
-
-    Returns one (coordinates, factor fan, ray indices) triple per factor,
-    or an empty list when the fan does not split. The factors multiply back
-    to the input fan up to the induced ray reindexing (verified).
-    """
-    uf = mdscones._UnionFind(fan.dim)
-    for r in fan.rays:
-        support = [k for k, x in enumerate(r) if x != 0]
-        for k in support[1:]:
-            uf.union(support[0], k)
-    blocks: dict[int, list[int]] = {}
-    for k in range(fan.dim):
-        blocks.setdefault(uf.find(k), []).append(k)
-    if len(blocks) < 2:
-        return []
-    comps = sorted(tuple(sorted(v)) for v in blocks.values())
-    factors = []
-    for coords in comps:
-        idx = tuple(
-            j for j, r in enumerate(fan.rays)
-            if all(k in coords for k, x in enumerate(r) if x != 0)
-        )
-        rays = [tuple(fan.rays[j][k] for k in coords) for j in idx]
-        cones = sorted(
-            {
-                tuple(sorted(idx.index(j) for j in c if j in idx))
-                for c in fan.max_cones
-            }
-        )
-        factor = fanmod.build_fan(len(coords), rays, cones)
-        factors.append((coords, factor, idx))
-    rebuilt = factors[0][1]
-    mapping = list(factors[0][2])
-    for _, factor, idx in factors[1:]:
-        rebuilt = fanmod.product(rebuilt, factor)
-        mapping.extend(idx)
-    expect = {tuple(sorted(mapping[j] for j in c)) for c in rebuilt.max_cones}
-    if expect != set(fan.max_cones):
-        return []
-    return factors
-
-
 def _surface_product_split(fan: Fan) -> tuple[Fan, Fan] | None:
-    """Group coordinate factors into two surface factors when possible."""
-    factors = coordinate_factors(fan)
-    if not factors or sum(len(c) for c, _, _ in factors) != 4:
-        return None
-    for split in range(1, 1 << (len(factors) - 1)):
-        left = [f for i, f in enumerate(factors) if split >> i & 1]
-        right = [f for i, f in enumerate(factors) if not split >> i & 1]
-        if sum(len(c) for c, _, _ in left) != 2:
+    """The two surface factors of a fourfold that is a product, or None.
+
+    Each wall relation is a circuit of the ray matroid, and the wall
+    relations span all relations among the rays of a complete fan, so
+    joining their supports gives the matroid's components. A product's rays
+    are the direct sum of its factors' rays (Oxley, Matroid Theory, ch. 4)
+    and its maximal cones are the products of the factors' cones
+    (Cox-Little-Schenck, ch. 3). Every grouping of the components into two
+    rank-2 sets is tried against the cones. Each factor is its rays
+    projected along the other factor's span; in a smooth fan every maximal
+    cone is a lattice basis, so the factors are fans in the quotient
+    lattices. The factors are ordered by their lowest ray index.
+    """
+    uf = mdscones._UnionFind(fan.n_rays)
+    for w in fanmod.walls(fan):
+        support = [j for j, x in w.relation if x != 0]
+        for j in support[1:]:
+            uf.union(support[0], j)
+    comps: dict[int, list[int]] = {}
+    for j in range(fan.n_rays):
+        comps.setdefault(uf.find(j), []).append(j)
+    first, *rest = comps.values()
+    for mask in range((1 << len(rest)) - 1):
+        a = sorted(first + [j for i, g in enumerate(rest) if mask >> i & 1 for j in g])
+        sides = (a, [j for j in range(fan.n_rays) if j not in a])
+        if any(linalg.rank([fan.rays[j] for j in s]) != 2 for s in sides):
             continue
-        s1 = left[0][1] if len(left) == 1 else fanmod.product(left[0][1], left[1][1])
-        s2 = right[0][1] if len(right) == 1 else fanmod.product(right[0][1], right[1][1])
-        return s1, s2
+        faces = [{tuple(j for j in c if j in s) for c in fan.max_cones} for s in sides]
+        if {tuple(sorted(fa + fb)) for fa in faces[0] for fb in faces[1]} \
+                != set(fan.max_cones):
+            continue
+        factors = []
+        for s, other, cones in zip(sides, sides[::-1], faces):
+            ker = linalg.integer_kernel([fan.rays[j] for j in other], fan.dim)
+            rays = [tuple(dot(k, fan.rays[j]) for k in ker) for j in s]
+            factors.append(
+                fanmod.build_fan(2, rays, [[s.index(j) for j in c] for c in cones])
+            )
+        return factors[0], factors[1]
     return None
 
 

@@ -27,6 +27,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
 from . import fan as fanmod
+from . import linalg
 from .errors import CapOverflowError, InternalError, ValidationError
 from .fan import ExtremalRay, Fan
 from .linalg import dot
@@ -200,8 +201,6 @@ def is_nef(fan: Fan, divisor: Sequence) -> bool:
 
 def default_ample(fan: Fan) -> tuple:
     """Coefficient vector of some ample divisor."""
-    from . import linalg
-
     dd = fanmod.data(fan)
     if dd.ample_class is None:
         raise ValidationError("fan is not projective")

@@ -47,16 +47,6 @@ def test_product_formula_on_del_pezzo_pairs():
         assert c == want, (n1, n2)
 
 
-def test_coordinate_factors_of_products():
-    fan = catalog.get("p2xp2")
-    split = fano.coordinate_factors(fan)
-    assert len(split) == 2
-    for _, factor, _ in split:
-        assert factor.dim == 2 and factor.rho == 1
-    # irreducible fans do not split
-    assert fano.coordinate_factors(catalog.get("p4")) == []
-
-
 def test_exceptional_planes_of_flip_model():
     fan = catalog.get("fano-flip-model")
     rep = fano.detect_exceptional_loci(fan)
