@@ -21,7 +21,6 @@ from .fan import (
     Wall,
     build_fan,
     extremal_rays,
-    fans_equal,
     product,
     star_subdivision,
     walls,
@@ -89,7 +88,6 @@ __all__ = [
     "detect_exceptional_loci",
     "divisor_profiles",
     "extremal_rays",
-    "fans_equal",
     "get",
     "is_quasi_elementary",
     "n1_dimension",

@@ -167,7 +167,7 @@ def cmd_chambers(args) -> int:
         "name": name,
         "chambers": len(atlas.chambers),
         "base_chamber": atlas.base_chamber,
-        "adjacency": [[a.i, a.j] for a in atlas.adjacency],
+        "adjacency": [[i, j] for i, j in atlas.adjacency],
         "rows": rows,
     }
     lines = [f"name {name}", f"chambers {len(atlas.chambers)}"]
@@ -176,7 +176,7 @@ def cmd_chambers(args) -> int:
             "chamber {index} fano {fano} facets {facets}".format(**r)
         )
     lines.append(
-        "adjacent pairs " + " ".join(f"{a.i}-{a.j}" for a in atlas.adjacency)
+        "adjacent pairs " + " ".join(f"{i}-{j}" for i, j in atlas.adjacency)
     )
     _emit(payload, args.json, lines)
     if args.dot:
@@ -190,8 +190,8 @@ def chamber_graph_dot(name: str, atlas: mdscones.ChamberAtlas) -> str:
     for ch in atlas.chambers:
         style = ' style=filled' if fanmod.is_fano(ch.model) else ""
         lines.append(f'  c{ch.index} [label="{ch.index}"{style}];')
-    for a in atlas.adjacency:
-        lines.append(f"  c{a.i} -- c{a.j};")
+    for i, j in atlas.adjacency:
+        lines.append(f"  c{i} -- c{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -86,16 +86,12 @@ def _dd_pointed(dim: int, ineqs: list[Vec]) -> list[Vec]:
     """
     if dim == 0:
         return []
-    seed_idx: list[int] = []
-    seed_rows: list[Vec] = []
-    for i, a in enumerate(ineqs):
-        if linalg.rank(seed_rows + [a]) > len(seed_rows):
-            seed_idx.append(i)
-            seed_rows.append(a)
-            if len(seed_rows) == dim:
-                break
-    if len(seed_rows) < dim:
+    # the pivot columns of the transpose are the rows that raise the rank
+    # of the rows before them, the greedy choice of seeds in input order
+    seed_idx = linalg._echelon(list(zip(*ineqs)), reduced=False)[1]
+    if len(seed_idx) < dim:
         raise InternalError("pointed DD called with deficient rank")
+    seed_rows = [ineqs[i] for i in seed_idx]
 
     rays = linalg.inverse_rays(seed_rows)
     active = [{seed_idx[i] for i in range(dim) if i != j} for j in range(dim)]

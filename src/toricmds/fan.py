@@ -1,9 +1,10 @@
 """Complete simplicial fans: validation, walls, divisor and curve classes.
 
 A Fan is immutable: primitive ray vectors in a fixed order (the order is part
-of the fan's identity) and maximal cones as sorted index tuples. Everything
-derived from a fan (walls, the class lattice, the extremal ray decomposition
-of the curve cone) is computed once and cached by structural key.
+of the fan's identity) and maximal cones as sorted index tuples. build_fan
+sorts and deduplicates the cones, so == on fans is structural equality.
+Everything derived from a fan (walls, the class lattice, the extremal ray
+decomposition of the curve cone) is computed once and cached per fan.
 
 Curve and divisor classes live in dual lattices of rank rho = #rays - dim.
 The divisor class of a coefficient vector a is B @ a, where the rows of B are
@@ -32,9 +33,6 @@ class Fan(NamedTuple):
     dim: int
     rays: tuple[Vec, ...]
     max_cones: tuple[tuple[int, ...], ...]
-
-    def key(self) -> tuple:
-        return (self.rays, frozenset(self.max_cones))
 
     def cone_rays(self, cone: Sequence[int]) -> list[Vec]:
         return [self.rays[i] for i in cone]
@@ -263,7 +261,7 @@ class ExtremalRay(NamedTuple):
 
 
 class FanData:
-    """Derived data for one fan, computed lazily and cached per fan key."""
+    """Derived data for one fan, computed lazily and cached per fan."""
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -466,15 +464,14 @@ class FanData:
         return out
 
 
-_FAN_DATA: dict[tuple, FanData] = {}
+_FAN_DATA: dict[Fan, FanData] = {}
 
 
 def data(fan: Fan) -> FanData:
-    key = fan.key()
-    fd = _FAN_DATA.get(key)
+    fd = _FAN_DATA.get(fan)
     if fd is None:
         fd = FanData(fan)
-        _FAN_DATA[key] = fd
+        _FAN_DATA[fan] = fd
     return fd
 
 
@@ -570,8 +567,3 @@ def product(f1: Fan, f2: Fan) -> Fan:
         for c2 in f2.max_cones
     ]
     return build_fan(d1 + d2, rays, cones)
-
-
-def fans_equal(a: Fan, b: Fan) -> bool:
-    """Structural equality: same rays in the same order, same cone set."""
-    return a.key() == b.key()

@@ -217,7 +217,7 @@ def _replay_flips(start: Fan, steps) -> tuple[list[Fan], list[ExtremalRay]]:
 def rebuild_flip_chain(result: mmp.MoriResult) -> tuple[list[Fan], list[ExtremalRay]]:
     """Replay the flips of a program, returning all models and flipped rays."""
     fans, rays = _replay_flips(result.start, result.steps)
-    if not fanmod.fans_equal(fans[-1], result.final):
+    if fans[-1] != result.final:
         raise InternalError("replayed flip chain does not reach the final model")
     return fans, rays
 

@@ -60,23 +60,40 @@ class Chamber(NamedTuple):
     cone: PolyCone
 
 
-class ChamberAdjacency(NamedTuple):
-    """Shared facet between two chambers, with the crossing wall data."""
-
-    i: int
-    j: int
-    facet: PolyCone
-    ray_class: Vec  # class of the small ray flipped when going from i to j
-    jminus: tuple[int, ...]
-    jplus: tuple[int, ...]
-
-
 class ChamberAtlas(NamedTuple):
+    """The chambers of the movable cone and the wall crossings between them.
+
+    chambers[k] is the k-th small modification the breadth-first search
+    found, with its nef cone; chambers[base_chamber] is the input fan. The
+    fan, inventory and chambers fields carry all cone data: adjacency is
+    only the graph, the sorted pairs (i, j), i < j, of chambers that share
+    a facet.
+    """
+
     fan: Fan
     inventory: ConeInventory
     chambers: list[Chamber]
-    adjacency: list[ChamberAdjacency]
+    adjacency: list[tuple[int, int]]
     base_chamber: int = 0
+
+
+def _share_facet(ci: PolyCone, cj: PolyCone, cls: Vec) -> bool:
+    """Whether the nef cones ci and cj meet in a common facet on cls = 0.
+
+    cls is a small extremal curve class of the model of ci, so the nef
+    cone ci pairs nonnegatively with it. If cj pairs nonpositively, the
+    cones meet inside the hyperplane cls = 0, where each holds a face. Both
+    cones are pointed, so each face is spanned by the generators it holds:
+    when those generator sets agree the two faces are one face, the
+    intersection of the cones, and it is a common facet when its
+    generators have rank rho - 1.
+    """
+    on_i = [g for g in ci.generators if dot(g, cls) == 0]
+    return (
+        all(dot(g, cls) <= 0 for g in cj.generators)
+        and on_i == [g for g in cj.generators if dot(g, cls) == 0]
+        and linalg.rank(on_i) == len(cls) - 1
+    )
 
 
 def chamber_atlas(fan: Fan, cap: int = MAX_CHAMBERS) -> ChamberAtlas:
@@ -92,8 +109,8 @@ def chamber_atlas(fan: Fan, cap: int = MAX_CHAMBERS) -> ChamberAtlas:
         raise ValidationError(f"chamber cap must be at least 1, got {cap}")
     inv = cone_inventory(fan)
     chambers: list[Chamber] = [Chamber(0, fan, fanmod.data(fan).nef_cone)]
-    seen: dict[tuple, int] = {fan.key(): 0}
-    adjacency: dict[tuple[int, int], ChamberAdjacency] = {}
+    seen: dict[Fan, int] = {fan: 0}
+    adjacency: set[tuple[int, int]] = set()
     queue = [0]
     while queue:
         i = queue.pop(0)
@@ -103,35 +120,24 @@ def chamber_atlas(fan: Fan, cap: int = MAX_CHAMBERS) -> ChamberAtlas:
             if ray.kind != "small":
                 continue
             neighbor = mmp.flip(model, ray)
-            key = neighbor.key()
-            j = seen.get(key)
+            j = seen.get(neighbor)
             if j is None:
                 j = len(chambers)
                 if j >= cap:
                     raise CapOverflowError(
                         f"chamber count exceeded the cap of {cap}"
                     )
-                seen[key] = j
+                seen[neighbor] = j
                 chambers.append(Chamber(j, neighbor, fanmod.data(neighbor).nef_cone))
                 queue.append(j)
             pair = (min(i, j), max(i, j))
             if pair not in adjacency:
-                facet = chambers[i].cone.intersect(chambers[j].cone)
-                if facet.dim != fan.rho - 1:
+                if not _share_facet(chambers[i].cone, chambers[j].cone, ray.cls):
                     raise InternalError(
                         f"chambers {i} and {j} do not share a facet"
                     )
-                adjacency[pair] = ChamberAdjacency(
-                    i=pair[0],
-                    j=pair[1],
-                    facet=facet,
-                    ray_class=ray.cls if pair[0] == i else tuple(-x for x in ray.cls),
-                    jminus=ray.jminus if pair[0] == i else ray.jplus,
-                    jplus=ray.jplus if pair[0] == i else ray.jminus,
-                )
-    return ChamberAtlas(
-        fan, inv, chambers, [adjacency[k] for k in sorted(adjacency)]
-    )
+                adjacency.add(pair)
+    return ChamberAtlas(fan, inv, chambers, sorted(adjacency))
 
 
 class RationalContractionDescriptor(NamedTuple):
@@ -171,11 +177,9 @@ def _classify_position(inv: ConeInventory, sigma: PolyCone) -> str:
     return "small"
 
 
-def rational_contractions(
-    atlas: ChamberAtlas, max_codim: int | None = None
-) -> list[RationalContractionDescriptor]:
-    """Every cone of the chamber fan down to the requested codimension,
-    each face reported once no matter how many chambers share it."""
+def rational_contractions(atlas: ChamberAtlas) -> list[RationalContractionDescriptor]:
+    """Every cone of the chamber fan, each face reported once no matter how
+    many chambers share it."""
     rho = atlas.fan.rho
     faces: dict[tuple, PolyCone] = {}
     hosts: dict[tuple, set[int]] = {}
@@ -189,8 +193,6 @@ def rational_contractions(
             if sigma is None:
                 sigma = PolyCone.from_generators(rho, sub)
                 faces[sigma.generators] = sigma
-            if max_codim is not None and rho - sigma.dim > max_codim:
-                continue
             hosts.setdefault(sigma.generators, set()).add(chamber.index)
     inv = atlas.inventory
     out = []
@@ -225,8 +227,6 @@ class QuasiElementaryResult(NamedTuple):
     condition_iii: bool
     condition_iv: bool
     condition_v: bool
-    minimal_eff_face_dim: int
-    contracted_curves_dim: int
     eff_face: PolyCone
 
 
@@ -277,8 +277,6 @@ def is_quasi_elementary(
         condition_iii=cond_iii,
         condition_iv=cond_iv,
         condition_v=cond_v,
-        minimal_eff_face_dim=min_face.dim,
-        contracted_curves_dim=me_f.dim,
         eff_face=eff_slice,
     )
 
@@ -476,7 +474,7 @@ def compose_quasi_elementary(
     the pulled-back sigma of g equals.
     """
     tm = target_model(atlas, is_quasi_elementary(atlas, f_desc))
-    if g_atlas.fan.key() != tm.fan.key():
+    if g_atlas.fan != tm.fan:
         raise ValidationError("second contraction is not on the target model")
     identity = g_desc.sigma == fanmod.data(tm.fan).nef_cone
     if not identity:

@@ -45,7 +45,7 @@ def test_entry_factors_rebuild_product():
         rebuilt = catalog.get(e.factors[0])
         for part in e.factors[1:]:
             rebuilt = F.product(rebuilt, catalog.get(part))
-        assert F.fans_equal(rebuilt, e.fan), name
+        assert rebuilt == e.fan, name
 
 
 def test_flip_model_facts():
@@ -56,8 +56,8 @@ def test_flip_model_facts():
     assert not F.is_fano(bl)
     assert F.is_fano(model) and F.is_smooth(model)
     # The catalog states the model's cones; the anticanonical program derives
-    # them. Fans compare field by field, so rays and max_cones must match in
-    # order, not only as a cone set as fans_equal checks.
+    # them. Fans compare field by field: the same rays in the same order and
+    # the same sorted list of cones.
     program = mmp.run_mori_program(bl, [1] * 9, strategy="first")
     assert model == program.final
 
@@ -101,7 +101,7 @@ def test_round_trip_all_entries():
         text = catalog.write_fan_text(name, f)
         name2, f2 = catalog.parse_fan_text(text)
         assert name2 == name
-        assert F.fans_equal(f, f2)
+        assert f == f2
 
 
 def test_parse_accepts_comments_and_blanks():

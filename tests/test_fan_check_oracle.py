@@ -97,11 +97,11 @@ def pairwise_build_fan(dim, rays, max_cones, check="full"):
 
 
 def verdicts(dim, rays, cones):
-    """(proved check, reference): the built fan's key, or None if rejected."""
+    """(proved check, reference): the built fan, or None if rejected."""
     out = []
     for build in (F.build_fan, pairwise_build_fan):
         try:
-            out.append(build(dim, rays, cones).key())
+            out.append(build(dim, rays, cones))
         except ValidationError:
             out.append(None)
     return tuple(out)
@@ -180,7 +180,7 @@ def test_proved_check_matches_pairwise_check_on_paired_collections():
 def test_proved_check_matches_pairwise_check_on_catalog():
     for name in catalog.names():
         fan = catalog.get(name)
-        assert verdicts(fan.dim, fan.rays, fan.max_cones) == (fan.key(),) * 2, name
+        assert verdicts(fan.dim, fan.rays, fan.max_cones) == (fan,) * 2, name
 
 
 @pytest.mark.parametrize("name", ["blpt-p1cubed", "blpt-p1x4"])
@@ -188,4 +188,4 @@ def test_proved_check_matches_pairwise_check_on_atlas_models(name, atlas_of):
     models = [ch.model for ch in atlas_of(name).chambers]
     assert len(models) > 1
     for fan in models:
-        assert verdicts(fan.dim, fan.rays, fan.max_cones) == (fan.key(),) * 2
+        assert verdicts(fan.dim, fan.rays, fan.max_cones) == (fan,) * 2

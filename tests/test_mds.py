@@ -5,7 +5,7 @@ import pytest
 
 from toricmds import catalog, fan as F, linalg, mdscones as M
 from toricmds.cones import PolyCone
-from toricmds.errors import CapOverflowError, ValidationError
+from toricmds.errors import CapOverflowError, InternalError, ValidationError
 
 
 def test_quadric_surface_inventory():
@@ -71,11 +71,10 @@ def test_atlas_blpt_p1x4(atlas_of):
     assert len(atlas.chambers) == 95
     assert atlas.base_chamber == 0
     assert atlas.chambers[0].cone == atlas.inventory.nef
-    assert F.fans_equal(atlas.chambers[0].model, catalog.get("blpt-p1x4"))
+    assert atlas.chambers[0].model == catalog.get("blpt-p1x4")
     fano_idx = [c.index for c in atlas.chambers if F.is_fano(c.model)]
     assert len(fano_idx) == 1
-    assert F.fans_equal(atlas.chambers[fano_idx[0]].model,
-                        catalog.get("fano-flip-model"))
+    assert atlas.chambers[fano_idx[0]].model == catalog.get("fano-flip-model")
 
 
 def test_atlas_models_share_rays(atlas_of):
@@ -85,20 +84,41 @@ def test_atlas_models_share_rays(atlas_of):
     for ch in atlas.chambers:
         assert ch.model.rays == rays
         assert ch.cone == F.data(ch.model).nef_cone
-        key = ch.model.key()
-        assert key not in seen
-        seen.add(key)
+        assert ch.model not in seen
+        seen.add(ch.model)
 
 
 def test_atlas_adjacency_structure(atlas_of):
-    atlas = atlas_of("blpt-p1x4")
-    rho = atlas.fan.rho
-    for adj in atlas.adjacency:
-        ci = atlas.chambers[adj.i].cone
-        cj = atlas.chambers[adj.j].cone
-        assert adj.facet.dim == rho - 1
-        assert ci.is_face(adj.facet) and cj.is_face(adj.facet)
-        assert adj.jminus and adj.jplus
+    for name in catalog.names():
+        atlas = atlas_of(name)
+        rho = atlas.fan.rho
+        assert atlas.adjacency == sorted(set(atlas.adjacency)), name
+        for i, j in atlas.adjacency:
+            assert i < j, name
+            ci = atlas.chambers[i].cone
+            cj = atlas.chambers[j].cone
+            facet = ci.intersect(cj)
+            assert facet.dim == rho - 1, name
+            assert ci.is_face(facet) and cj.is_face(facet), name
+
+
+def test_atlas_rejects_a_neighbour_without_a_shared_facet(monkeypatch):
+    flip = M.mmp.flip
+
+    def flip_twice(model, ray):
+        # the second flip crosses another wall, so the model it returns is
+        # two chambers away from the one the search is expanding
+        once = flip(model, ray)
+        back = (ray.jplus, ray.jminus)
+        other = next(
+            r for r in F.extremal_rays(once)
+            if r.kind == "small" and (r.jminus, r.jplus) != back
+        )
+        return flip(once, other)
+
+    monkeypatch.setattr(M.mmp, "flip", flip_twice)
+    with pytest.raises(InternalError, match="chambers 0 and 1 do not share a facet"):
+        M.chamber_atlas(catalog.get("blpt-p1x4"))
 
 
 def test_chamber_of_lookup(atlas_of):
@@ -116,7 +136,7 @@ def test_chamber_of_lookup(atlas_of):
 def test_base_chamber_facets(atlas_of):
     atlas = atlas_of("blpt-p1x4")
     facets = [
-        d for d in M.rational_contractions(atlas, max_codim=1)
+        d for d in M.rational_contractions(atlas)
         if d.target_rho == 4 and 0 in d.host_chambers
     ]
     assert sorted(d.kind for d in facets) == ["divisorial"] + ["small"] * 4

@@ -37,7 +37,7 @@ def test_flip_reverses_wall():
     assert back[0].jminus == small[0].jplus
     assert back[0].jplus == small[0].jminus
     again = mmp.flip(f1, back[0])
-    assert F.fans_equal(again, bl)
+    assert again == bl
 
 
 def test_flip_rejects_non_small():
@@ -52,7 +52,7 @@ def test_contract_divisorial():
     div = [e for e in F.extremal_rays(bl) if e.kind == "divisorial"][0]
     out, removed = mmp.contract_divisorial(bl, div)
     assert removed == 8
-    assert F.fans_equal(out, catalog.get("p1x4"))
+    assert out == catalog.get("p1x4")
     small = [e for e in F.extremal_rays(bl) if e.kind == "small"][0]
     with pytest.raises(ValidationError):
         mmp.contract_divisorial(bl, small)
@@ -64,7 +64,7 @@ def test_anticanonical_program_reaches_flip_model():
     for strat in ("first", "random", "scaling"):
         res = mmp.run_mori_program(bl, [1] * 9, strategy=strat, seed=7)
         assert res.outcome == "semiample", strat
-        assert F.fans_equal(res.final, model), strat
+        assert res.final == model, strat
         assert res.n_flips == 4 and res.n_contractions == 0, strat
 
 
@@ -74,7 +74,7 @@ def test_exceptional_divisor_contracts_to_line_power():
     assert res.outcome == "semiample"
     assert res.n_flips == 0 and res.n_contractions == 1
     assert res.removed_rays == [8]
-    assert F.fans_equal(res.final, catalog.get("p1x4"))
+    assert res.final == catalog.get("p1x4")
 
 
 def test_flip_model_program_flips_then_contracts():
@@ -82,7 +82,7 @@ def test_flip_model_program_flips_then_contracts():
     res = mmp.run_mori_program(fm, exc_divisor(fm), strategy="first")
     assert res.n_flips == 4 and res.n_contractions == 1
     assert res.steps[-1].action == "contract"
-    assert F.fans_equal(res.final, catalog.get("p1x4"))
+    assert res.final == catalog.get("p1x4")
 
 
 def test_fiber_type_outcome():
@@ -147,7 +147,7 @@ def test_random_seeds_all_terminate_equally():
         res = mmp.run_mori_program(fm, d, strategy="random", seed=seed)
         assert res.outcome == "semiample"
         assert res.n_flips == 4 and res.n_contractions == 1
-        assert F.fans_equal(res.final, catalog.get("p1x4"))
+        assert res.final == catalog.get("p1x4")
 
 
 def test_interactive_strategy_uses_chooser():
@@ -162,7 +162,7 @@ def test_interactive_strategy_uses_chooser():
                                choose=choose)
     assert res.outcome == "semiample"
     assert picks and picks[0] == 4
-    assert F.fans_equal(res.final, catalog.get("p1x4"))
+    assert res.final == catalog.get("p1x4")
 
 
 def test_interactive_needs_chooser():
